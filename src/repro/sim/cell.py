@@ -13,7 +13,8 @@ from __future__ import annotations
 import gc
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from heapq import heappop, heappush
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from repro.sim.entities import (
     InstanceState,
     SchedulerKind,
 )
-from repro.sim.eventq import QUEUE_KINDS, make_queue
 from repro.sim.events import EventLog, EventType
 from repro.sim.fleet import FleetState
 from repro.sim.machine import Machine
@@ -96,20 +96,12 @@ class CellConfig:
     #: the cell byte-identical to a pre-fault-injection run: no extra
     #: RNG draws, no extra events (DESIGN.md §14).
     faults: Optional[FaultParams] = None
-    #: Event-queue implementation: ``"heap"``, ``"calendar"``, or
-    #: ``None`` to use the library default
-    #: (:func:`repro.sim.eventq.set_default_queue`).  Both produce
-    #: bit-identical runs (DESIGN.md §15); calendar is faster at scale.
-    queue: Optional[str] = None
 
     def __post_init__(self):
         if self.era not in ("2011", "2019"):
             raise ValueError(f"era must be '2011' or '2019', got {self.era!r}")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
-        if self.queue is not None and self.queue not in QUEUE_KINDS:
-            raise ValueError(f"queue must be one of {QUEUE_KINDS} or None, "
-                             f"got {self.queue!r}")
 
 
 @dataclass
@@ -153,7 +145,7 @@ class CellResult:
 
 
 def _reconcile_machine_usage(usage: Dict[str, np.ndarray],
-                             machines: Union[Sequence[Machine], FleetState],
+                             fleet: FleetState,
                              sample_period: float) -> None:
     """Throttle sampled usage to physical machine capacity, in place.
 
@@ -165,16 +157,13 @@ def _reconcile_machine_usage(usage: Dict[str, np.ndarray],
     what makes the section-9 "usage <= machine capacity" trace invariant
     hold by construction rather than by luck.
 
-    ``machines`` may be a :class:`FleetState` (the simulator passes its
-    own) or a plain machine sequence (snapshotted here); either way the
-    per-group capacity lookup is one vectorized
-    :meth:`FleetState.capacity_by_id` gather, not a Python loop.
+    The per-group capacity lookup is one vectorized
+    :meth:`FleetState.capacity_by_id` gather over ``fleet``, not a Python
+    loop.
     """
     n = len(usage["window_start"])
     if n == 0:
         return
-    fleet = (machines if isinstance(machines, FleetState)
-             else FleetState(machines, attach=False))
     machine_ids = usage["machine_id"].astype(np.int64)
     window = (usage["window_start"] / sample_period).astype(np.int64)
     key = machine_ids * 10_000_000 + window
@@ -218,8 +207,11 @@ class CellSim:
         self.counters = SimCounters()
 
         self._horizon = config.horizon
-        self._queue = make_queue(config.queue, config.horizon)
-        self._queue_push = self._queue.push
+        #: Binary heap of ``(time, seq, kind, payload)`` entries; ``seq``
+        #: is a monotone push counter, so events at one timestamp pop in
+        #: push order.
+        self._queue: List[Tuple[float, int, str, object]] = []
+        self._seq = itertools.count()
         self._pending = PendingQueue()
         #: Tasks that failed placement wait here and are retried on a
         #: slower cadence than fresh arrivals — re-scanning a saturated
@@ -301,7 +293,7 @@ class CellSim:
         # smaller, because most hazard delays (hours to years, per tier
         # rate) overshoot the horizon.
         if time < self._horizon:
-            self._queue_push(time, kind, payload)
+            heappush(self._queue, (time, next(self._seq), kind, payload))
 
     def _seed_events(self) -> None:
         for collection in self.workload:
@@ -371,10 +363,9 @@ class CellSim:
         recorder = self.recorder
         # _push drops anything at or past the horizon, so the loop drains
         # the queue to empty — no boundary check per event.  Exhaustion
-        # is signalled by pop() raising IndexError rather than a truth
-        # test per iteration (zero-cost try in 3.11).
+        # is signalled by heappop() raising IndexError rather than a
+        # truth test per iteration (zero-cost try in 3.11).
         queue = self._queue
-        pop = queue.pop
         with obs.span("sim.event_loop"):
             if recorder is None:
                 # One dict probe per event: the handler and its per-kind
@@ -385,7 +376,7 @@ class CellSim:
                 n_events = 0
                 while True:
                     try:
-                        time, _, kind, payload = pop()
+                        time, _, kind, payload = heappop(queue)
                     except IndexError:
                         break
                     n_events += 1
@@ -399,7 +390,7 @@ class CellSim:
                 # Flight-recorder variant: counters stay live because
                 # recorder frames sample them mid-run.
                 while queue:
-                    time, _, kind, payload = pop()
+                    time, _, kind, payload = heappop(queue)
                     # Sampled *before* the boundary-crossing event runs,
                     # so a frame at t=k·interval holds exactly the state
                     # of all events strictly before it.

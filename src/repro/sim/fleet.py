@@ -29,15 +29,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 class FleetState:
     """Columnar mirror of a machine fleet.
 
-    With ``attach=True`` (the default) each machine is bound to this
-    state and keeps it current through the sync hooks; a machine belongs
-    to at most one attached ``FleetState`` at a time.  ``attach=False``
-    builds a one-shot snapshot of the fleet's current state without
-    claiming ownership — used when a plain machine sequence is passed to
-    the placement policy directly (tests, diagnostics).
+    Each machine is bound to this state and keeps it current through the
+    sync hooks; a machine belongs to at most one ``FleetState`` at a
+    time (building a new one rebinds it).
     """
 
-    def __init__(self, machines: Sequence["Machine"], attach: bool = True):
+    def __init__(self, machines: Sequence["Machine"]):
         self.machines: List["Machine"] = list(machines)
         n = len(self.machines)
         self.n = n
@@ -77,9 +74,8 @@ class FleetState:
             codes[i] = self._platform_codes.setdefault(
                 machine.platform, len(self._platform_codes))
         self.platform_code = codes
-        if attach:
-            for i, machine in enumerate(self.machines):
-                machine.attach_fleet(self, i)
+        for i, machine in enumerate(self.machines):
+            machine.attach_fleet(self, i)
 
     def platform_code_of(self, platform: str) -> int:
         """The integer code of ``platform``; -1 if no machine has it."""

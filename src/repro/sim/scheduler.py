@@ -11,17 +11,17 @@ The hot path runs as a structure-of-arrays kernel over a
 :class:`~repro.sim.fleet.FleetState`: candidate sampling draws from a
 pre-drawn index block, admissibility and best-fit scoring are vector
 operations, and the full-scan fallback is one masked ``argmin``.  The
-kernel is bit-equivalent to the per-machine reference methods
-:meth:`PlacementPolicy._admissible` / :meth:`PlacementPolicy._score`
-(same float operations in the same order; see DESIGN.md §10 and the
-equivalence property test).
+kernel is bit-equivalent to looping a per-machine admissibility check
+and best-fit score over the fleet (same float operations in the same
+order); that scalar reference lives with the equivalence property test
+(``tests/test_placement_equivalence.py``; see DESIGN.md §10).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -124,29 +124,6 @@ class PlacementPolicy:
         ))
         self._py_platform = fleet.platform_code.tolist()
 
-    # ------------------------------------------------------------ reference
-    # Scalar reference implementations.  The vectorized kernel below is
-    # bit-equivalent to looping these over machines; the equivalence
-    # property test holds the two paths together.
-
-    def _admissible(self, machine: Machine, request: Resources,
-                    constraint: str = "") -> bool:
-        if not machine.up:
-            return False
-        if constraint and machine.platform != constraint:
-            return False
-        cap = machine.capacity
-        alloc = machine.allocated
-        return (alloc.cpu + request.cpu <= cap.cpu * self.params.overcommit_cpu + 1e-12
-                and alloc.mem + request.mem <= cap.mem * self.params.overcommit_mem + 1e-12)
-
-    def _score(self, machine: Machine, request: Resources) -> float:
-        """Best-fit score: smaller is better (tighter remaining headroom)."""
-        cap = machine.capacity
-        free_cpu = cap.cpu * self.params.overcommit_cpu - machine.allocated.cpu - request.cpu
-        free_mem = cap.mem * self.params.overcommit_mem - machine.allocated.mem - request.mem
-        return max(free_cpu / max(cap.cpu, 1e-9), free_mem / max(cap.mem, 1e-9))
-
     # --------------------------------------------------------------- kernel
 
     def _draw_indices(self, n: int, k: int) -> np.ndarray:
@@ -207,19 +184,14 @@ class PlacementPolicy:
         return np.maximum(free_cpu / self._den_cpu[idx],
                           free_mem / self._den_mem[idx])
 
-    def find_machine(self, fleet: Union[FleetState, Sequence[Machine]],
-                     request: Resources,
+    def find_machine(self, fleet: FleetState, request: Resources,
                      constraint: str = "") -> Optional[Machine]:
         """Best-fit over a sampled candidate set; None if nothing admits.
 
         ``constraint``, when non-empty, restricts placement to machines of
-        that platform (a machine-attribute constraint).  Accepts either a
-        live :class:`FleetState` (the simulator's hot path) or a plain
-        machine sequence (snapshotted on the fly).
+        that platform (a machine-attribute constraint).
         """
         self._ctr_attempts.inc()
-        if not isinstance(fleet, FleetState):
-            fleet = FleetState(fleet, attach=False)
         n = fleet.n
         if n == 0:
             return None
@@ -279,7 +251,7 @@ class PlacementPolicy:
         best = hits[self._score_at(fleet, hits, request).argmin()]
         return fleet.machines[int(best)]
 
-    def find_preemption(self, fleet: Union[FleetState, Sequence[Machine]],
+    def find_preemption(self, fleet: FleetState,
                         request: Resources, rank: int,
                         constraint: str = "") -> Optional[Tuple[Machine, List[Instance]]]:
         """A machine where evicting lower-rank instances admits ``request``.
@@ -290,7 +262,7 @@ class PlacementPolicy:
         production never evicts production (section 2).
         """
         self._ctr_preemptions.inc()
-        machines = fleet.machines if isinstance(fleet, FleetState) else fleet
+        machines = fleet.machines
         n = len(machines)
         if n == 0:
             return None

@@ -12,7 +12,6 @@ hard bound (usage never exceeds the limit) — paper section 2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional
 
@@ -45,17 +44,6 @@ class UsageModelParams:
     burst_sigma: float = 0.12
     #: CPU usage may exceed the limit by up to this factor (work conserving).
     cpu_overage_factor: float = 1.15
-    #: Implementation knob, not a model parameter: draw all per-window
-    #: noise from one fused standard-normal block per cell per flush
-    #: (bit-identical to the per-interval reference path — see
-    #: :class:`UsageBatch`).  Off by default: the fused block must
-    #: re-derive the two lognormal streams from full-stream generator
-    #: clones plus four block-wide gathers, which at paper scale (~100M
-    #: draws) costs more than the per-interval draw loop it replaces —
-    #: the batched-capture + one-vectorized-pass structure, shared by
-    #: both settings, is where the speedup lives.  Kept selectable so
-    #: the paper-scale bench can measure one kernel against the other.
-    fused_sampling: bool = False
 
 
 class UsageModel:
@@ -167,20 +155,6 @@ _F_CPU_FRACTION = _IntervalRecord._fields.index("cpu_fraction")
 _F_MEM_FRACTION = _IntervalRecord._fields.index("mem_fraction")
 
 
-def _libm_exp(x: np.ndarray) -> np.ndarray:
-    """``exp(x)`` through the C library's *scalar* ``exp``.
-
-    ``Generator.lognormal`` exponentiates each normal draw with libm's
-    ``exp``; numpy's vectorized ``np.exp`` uses a SIMD implementation
-    that agrees only to within ULPs.  Mapping ``math.exp`` (the same
-    libm symbol) keeps the fused RNG block bit-identical to the
-    per-interval draws while staying ~15x cheaper than issuing
-    per-interval ``Generator`` calls.
-    """
-    return np.fromiter(map(math.exp, x.tolist()), dtype=np.float64,
-                       count=len(x))
-
-
 class UsageBatch:
     """Accumulates run intervals and materializes usage samples in bulk.
 
@@ -190,39 +164,19 @@ class UsageBatch:
     generates all sample columns in one vectorized pass at finalize time.
 
     Bit-exactness contract: the output is byte-identical to the
-    per-interval path.  Three things make that hold:
+    per-interval path.  Two things make that hold:
 
-    * One RNG block per cell per flush: a single
-      ``rng.standard_normal(4 * n)`` call consumes exactly the bit
-      stream the per-interval path consumed through its interleaved
-      ``lognormal``/``normal`` calls (the generator fills normals
-      element-by-element, so call partitioning never changes the
-      drawn sequence), and the block is indexed back into the four
-      per-interval streams (cpu noise, cpu burst, mem noise, mem
-      burst) in record order.
-    * ``normal(loc, scale, n)`` is exactly ``loc + scale * z``; but
-      ``lognormal`` routes through the C library's scalar ``exp``,
-      which a vectorized ``np.exp`` (SIMD) matches only to within
-      ULPs.  The fused path therefore replays the identical normal
-      stream through ``Generator.lognormal`` on two throwaway clones
-      of the generator — numpy's C loop applies libm ``exp`` per draw
-      — and gathers each stream's positions from the replayed block
-      (:func:`_libm_exp` documents the equivalent ``math.exp`` map).
+    * The noise draws keep the per-interval RNG call sequence: four
+      ``Generator`` calls per record, in record order (cpu noise, cpu
+      burst, mem noise, mem burst), each sized to the record's window
+      count.
     * All arithmetic keeps the scalar path's operation order (e.g.
       ``(limit * fraction) * diurnal * noise``), with per-interval
       scalars broadcast via ``np.repeat``.
 
-    ``UsageModelParams.fused_sampling`` selects which of two bit-equal
-    draw kernels fills the four noise streams: the default blocked
-    per-interval loop (4 ``Generator`` calls per record, zero redundant
-    draws, no gathers), or the fused one-block kernel above.  Measured
-    at paper scale (25.6M windows) the fused kernel loses: its clone
-    replays generate 3x the random numbers (discarding 3/4 of each
-    lognormal stream) and its four gathers touch ~800 MB arrays, which
-    costs more than the ~1M small generator calls it eliminates.  Both
-    kernels share the vectorized materialization tail — the part that
-    actually replaced the old per-interval ``sample_interval`` calls
-    and per-record autopilot loop.
+    Only the draws stay per record; the materialization tail — the part
+    that replaced the old per-interval ``sample_interval`` calls and
+    per-record autopilot loop — runs as bulk NumPy over all records.
     """
 
     COLUMNS = (
@@ -309,70 +263,34 @@ class UsageBatch:
             t_counts = counts[task_j]
             n_task = int(t_counts.sum())
             t_excl = np.cumsum(t_counts) - t_counts
-            within_task = np.arange(n_task) - np.repeat(t_excl, t_counts)
             task_rows = (np.repeat(row_offsets[task_j] - t_excl, t_counts)
                          + np.arange(n_task))
             p = model.params
             noise_sigma = p.noise_sigma
             mem_sigma = p.noise_sigma * 0.5
             burst_mean, burst_sigma = p.burst_mean, p.burst_sigma
-            if p.fused_sampling and n_task:
-                # One RNG block per cell per flush.  The per-interval
-                # path drew, for interval i with n_i windows, 4 * n_i
-                # consecutive standard normals in stream order (noise,
-                # burst, mem noise, mem burst); the block reproduces
-                # that exact sequence, and the index arrays below
-                # scatter it back into the four streams.
-                #
-                # The two lognormal streams need ``exp(sigma * z)``
-                # computed by the *same* libm ``exp`` the generator's C
-                # code applies (np.exp's SIMD kernel differs in the last
-                # ULP; see :func:`_libm_exp`).  Rather than a Python-
-                # level ``math.exp`` map, two clones of the generator
-                # replay the identical normal stream through
-                # ``Generator.lognormal`` — numpy's C loop applies libm
-                # ``exp`` per draw, so ``clone.lognormal(0, sigma,
-                # m)[i] == exp(sigma * z[i])`` bit-for-bit — and the
-                # fused path gathers the positions belonging to each
-                # stream.  Only the primary ``rng`` advances; the clones
-                # are throwaways.
-                state = rng.bit_generator.state
-                clone_n = np.random.Generator(type(rng.bit_generator)())
-                clone_n.bit_generator.state = state
-                clone_m = np.random.Generator(type(rng.bit_generator)())
-                clone_m.bit_generator.state = state
-                z = rng.standard_normal(4 * n_task)
-                base = np.repeat(4 * t_excl, t_counts) + within_task
-                repc = np.repeat(t_counts, t_counts)
-                noise = clone_n.lognormal(0.0, noise_sigma, 4 * n_task)[base]
-                burst_raw = burst_mean + burst_sigma * z[base + repc]
-                mem_noise = clone_m.lognormal(
-                    0.0, mem_sigma, 4 * n_task)[base + 2 * repc]
-                mem_burst_raw = 1.05 + 0.03 * z[base + 3 * repc]
-                del z
-            else:
-                noise = np.empty(n_task)
-                burst_raw = np.empty(n_task)
-                mem_noise = np.empty(n_task)
-                mem_burst_raw = np.empty(n_task)
-                lognormal, normal = rng.lognormal, rng.normal
-                off = 0
-                for n in t_counts.tolist():
-                    if n == 0:
-                        # The per-interval path returned before drawing
-                        # when the grid was empty; consume nothing here.
-                        continue
-                    # Four draws per interval, record order: the scalar
-                    # path's exact RNG call sequence (class docstring).
-                    end = off + n
-                    noise[off:end] = lognormal(mean=0.0, sigma=noise_sigma,
+            noise = np.empty(n_task)
+            burst_raw = np.empty(n_task)
+            mem_noise = np.empty(n_task)
+            mem_burst_raw = np.empty(n_task)
+            lognormal, normal = rng.lognormal, rng.normal
+            off = 0
+            for n in t_counts.tolist():
+                if n == 0:
+                    # The per-interval path returned before drawing
+                    # when the grid was empty; consume nothing here.
+                    continue
+                # Four draws per interval, record order: the scalar
+                # path's exact RNG call sequence (class docstring).
+                end = off + n
+                noise[off:end] = lognormal(mean=0.0, sigma=noise_sigma,
+                                           size=n)
+                burst_raw[off:end] = normal(burst_mean, burst_sigma,
+                                            size=n)
+                mem_noise[off:end] = lognormal(mean=0.0, sigma=mem_sigma,
                                                size=n)
-                    burst_raw[off:end] = normal(burst_mean, burst_sigma,
-                                                size=n)
-                    mem_noise[off:end] = lognormal(mean=0.0, sigma=mem_sigma,
-                                                   size=n)
-                    mem_burst_raw[off:end] = normal(1.05, 0.03, size=n)
-                    off = end
+                mem_burst_raw[off:end] = normal(1.05, 0.03, size=n)
+                off = end
 
             diurnal = model._diurnal(window_start[task_rows] + period / 2.0)
             cl = rec[task_j, _F_CPU_LIMIT]

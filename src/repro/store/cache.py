@@ -72,9 +72,7 @@ class ChunkCache:
     def nbytes(self) -> int:
         """Approximate resident bytes of the cached tables.
 
-        Sums the numpy buffer sizes of every cached column.  With the
-        mmap read path the numeric buffers are views into the OS page
-        cache, so this is an upper bound on private memory — useful when
+        Sums the numpy buffer sizes of every cached column — useful when
         tuning ``cache_chunks``, where entry *count* says nothing about
         footprint.  Object (string) columns count pointer storage only.
         """

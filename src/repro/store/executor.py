@@ -117,13 +117,9 @@ def merge_partials(partials: Sequence[Dict[str, object]],
 # -- chunk tasks --------------------------------------------------------------
 
 #: One task: (chunk path, columns to decode, predicate or None, columns
-#: to keep after filtering, reducer[, use_mmap]).  The reducer is a
-#: tuple of Agg specs, a picklable callable ``Table -> payload``, or
-#: None (return the filtered projection itself).  The optional sixth
-#: element carries the store's mmap flag into worker processes — each
-#: worker maps the chunk file itself, and the OS page cache shares the
-#: physical pages across the pool.  Five-element tasks (older callers,
-#: pickled plans) decode with the library default.
+#: to keep after filtering, reducer).  The reducer is a tuple of Agg
+#: specs, a picklable callable ``Table -> payload``, or None (return the
+#: filtered projection itself).
 ChunkTask = Tuple[str, Tuple[str, ...], Optional[Predicate],
                   Tuple[str, ...], object]
 
@@ -154,12 +150,10 @@ def process_table(table: Table, predicate: Optional[Predicate],
 
 def run_chunk_task(task: ChunkTask) -> Tuple[object, int, int]:
     """Decode, filter, and reduce one chunk (the worker-process entry)."""
-    path, decode_columns, predicate, keep_columns, reducer, *rest = task
-    use_mmap = rest[0] if rest else None
+    path, decode_columns, predicate, keep_columns, reducer = task
     with obs.span("store.chunk"):
-        return process_table(
-            read_chunk(path, decode_columns, use_mmap=use_mmap),
-            predicate, keep_columns, reducer)
+        return process_table(read_chunk(path, decode_columns),
+                             predicate, keep_columns, reducer)
 
 
 def traced_chunk_task(task: ChunkTask) -> Tuple[Tuple[object, int, int],

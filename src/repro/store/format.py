@@ -23,25 +23,18 @@ so a reader can seek straight to any column.  Payload encodings:
 * ``str``   — ``n + 1`` little-endian ``int64`` offsets, then the
   concatenated UTF-8 bytes of all values
 
-Two read paths share the decoder:
-
-* **buffered** (default) — ``open`` + ``read``/``seek``; every wanted
-  payload is copied into process memory once.
-* **mmap** (``use_mmap=True`` or :func:`set_default_mmap`) — the file is
-  memory-mapped and numeric columns become *read-only zero-copy views*
-  over the mapped pages; nothing is copied until a page is actually
-  touched.  The map is kept alive by the views' buffer references (no
-  explicit close — closing a map with live views would raise
-  ``BufferError``), and because the pages live in the OS page cache they
-  are physically shared across ``--workers`` scan processes mapping the
-  same chunk.
+Reads are buffered (``open`` + ``read``/``seek``): every wanted payload
+is copied into process memory once, and numeric columns wrap that copy
+as read-only arrays without a second conversion.  A payload shorter
+than its header says, or string offsets that do not tile the string
+blob, raise :class:`~repro.util.errors.SchemaError` naming the chunk —
+a damaged chunk never decodes into wrong values.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import mmap
 import os
 import struct
 from typing import BinaryIO, List, Optional, Sequence, Union
@@ -58,22 +51,8 @@ CHUNK_SUFFIX = ".rsc"
 
 _LEN = struct.Struct("<Q")
 
-_DEFAULT_MMAP = False
-
-
-def set_default_mmap(enabled: bool) -> None:
-    """Set what ``read_chunk(..., use_mmap=None)`` resolves to.
-
-    Harness-level hook (CLI flag, conftest) — library code defaults to
-    the buffered path so behavior only changes when explicitly asked.
-    """
-    global _DEFAULT_MMAP
-    _DEFAULT_MMAP = bool(enabled)
-
-
-def get_default_mmap() -> bool:
-    """The current default for the mmap read path (``False`` unless set)."""
-    return _DEFAULT_MMAP
+#: Bytes per value of the fixed-width payload kinds.
+_WIDTH = {"float": 8, "int": 8, "bool": 1}
 
 
 def _encode_column(column: Column) -> bytes:
@@ -91,29 +70,37 @@ def _encode_column(column: Column) -> bytes:
     return offsets.tobytes() + b"".join(blobs)
 
 
-def _decode_column(kind: str, rows: int,
-                   payload: Union[bytes, memoryview]) -> Column:
-    # ``payload`` is bytes (buffered path) or a memoryview over the
-    # mapped region (mmap path).  ``<f8``/``<i8`` ARE float64/int64 on
-    # every platform we target (little-endian), so frombuffer's view
-    # needs no ``astype`` copy — the Column wraps the (read-only) view
-    # directly; only ``bool`` genuinely converts (uint8 -> bool).
+def _decode_column(kind: str, rows: int, payload: bytes,
+                   where: str) -> Column:
+    # ``<f8``/``<i8`` ARE float64/int64 on every platform we target
+    # (little-endian), so frombuffer's view needs no ``astype`` copy —
+    # the Column wraps the (read-only) view directly; only ``bool``
+    # genuinely converts (uint8 -> bool).
     if kind not in KINDS:
-        raise SchemaError(f"chunk column has unknown kind {kind!r}; "
+        raise SchemaError(f"{where}: column has unknown kind {kind!r}; "
                           f"this reader understands {KINDS}")
-    if kind == "float":
-        return Column(np.frombuffer(payload, dtype="<f8", count=rows)
-                      .astype(np.float64, copy=False))
-    if kind == "int":
-        return Column(np.frombuffer(payload, dtype="<i8", count=rows)
-                      .astype(np.int64, copy=False))
-    if kind == "bool":
-        return Column(np.frombuffer(payload, dtype=np.uint8, count=rows)
-                      .astype(bool))
+    if kind != "str":
+        if len(payload) != rows * _WIDTH[kind]:
+            raise SchemaError(f"{where}: {kind} payload holds "
+                              f"{len(payload)} bytes, expected "
+                              f"{rows * _WIDTH[kind]} for {rows} rows")
+        if kind == "float":
+            return Column(np.frombuffer(payload, dtype="<f8")
+                          .astype(np.float64, copy=False))
+        if kind == "int":
+            return Column(np.frombuffer(payload, dtype="<i8")
+                          .astype(np.int64, copy=False))
+        return Column(np.frombuffer(payload, dtype=np.uint8).astype(bool))
+    head = (rows + 1) * 8
+    if len(payload) < head:
+        raise SchemaError(f"{where}: str payload holds {len(payload)} bytes, "
+                          f"too few for {rows + 1} offsets")
     offsets = np.frombuffer(payload, dtype="<i8", count=rows + 1)
-    # Strings decode to fresh Python objects either way; one bytes()
-    # conversion keeps the slicing loop off memoryview objects.
-    blob = bytes(payload[(rows + 1) * 8:])
+    blob = payload[head:]
+    if (offsets[0] != 0 or offsets[-1] != len(blob)
+            or np.any(offsets[1:] < offsets[:-1])):
+        raise SchemaError(f"{where}: str offsets do not tile the "
+                          f"{len(blob)}-byte string blob")
     out = np.empty(rows, dtype=object)
     for i in range(rows):
         out[i] = blob[offsets[i]:offsets[i + 1]].decode("utf-8")
@@ -158,26 +145,20 @@ def _read_header(f: BinaryIO) -> dict:
 
 
 def read_chunk(source: Union[str, os.PathLike, BinaryIO],
-               columns: Optional[Sequence[str]] = None,
-               use_mmap: Optional[bool] = None) -> Table:
+               columns: Optional[Sequence[str]] = None) -> Table:
     """Decode a chunk file into a :class:`Table`.
 
     ``columns``, if given, selects and orders a projection; the payloads
-    of unrequested columns are skipped with seeks (buffered path) or
-    simply never touched (mmap path).  ``use_mmap=None`` resolves to the
-    module default (:func:`set_default_mmap`); file-like sources always
-    use the buffered path since they need not be mappable.
+    of unrequested columns are skipped with seeks.
     """
     if hasattr(source, "read"):
         return _read_chunk(source, columns)
-    resolved = _DEFAULT_MMAP if use_mmap is None else use_mmap
-    if resolved:
-        return _read_chunk_mapped(source, columns)
     with open(source, "rb") as f:
         return _read_chunk(f, columns)
 
 
 def _read_chunk(f: BinaryIO, columns: Optional[Sequence[str]]) -> Table:
+    where = f"chunk {getattr(f, 'name', '<stream>')}"
     header = _read_header(f)
     rows = header["rows"]
     available = {c["name"]: c for c in header["columns"]}
@@ -194,54 +175,16 @@ def _read_chunk(f: BinaryIO, columns: Optional[Sequence[str]]) -> Table:
     for meta in header["columns"]:
         if meta["name"] in wanted_set:
             payload = f.read(meta["nbytes"])
+            if len(payload) < meta["nbytes"]:
+                raise SchemaError(
+                    f"{where} is truncated: column {meta['name']!r} has "
+                    f"{len(payload)} of {meta['nbytes']} payload bytes")
             bytes_read += len(payload)
-            decoded[meta["name"]] = _decode_column(meta["kind"], rows, payload)
+            decoded[meta["name"]] = _decode_column(
+                meta["kind"], rows, payload, f"{where}, column {meta['name']!r}")
         else:
             f.seek(meta["nbytes"], io.SEEK_CUR)
     registry = obs.get_registry()
     registry.inc("store.chunks_read")
     registry.inc("store.bytes_read", bytes_read)
-    return Table({name: decoded[name] for name in wanted})
-
-
-def _read_chunk_mapped(path: Union[str, os.PathLike],
-                       columns: Optional[Sequence[str]]) -> Table:
-    """The zero-copy read path: decode columns as views over an mmap.
-
-    The map object is deliberately *not* closed: every numeric column is
-    a numpy view holding a buffer reference into it, and closing a map
-    with exported buffers raises ``BufferError``.  The map (and its file
-    handle) is released by refcounting once the last view dies.
-    """
-    with open(path, "rb") as f:
-        mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-    if mapped[:len(MAGIC)] != MAGIC:
-        raise SchemaError(
-            f"not a repro store chunk (bad magic {mapped[:len(MAGIC)]!r})")
-    (header_len,) = _LEN.unpack_from(mapped, len(MAGIC))
-    base = len(MAGIC) + _LEN.size
-    header = json.loads(bytes(mapped[base:base + header_len]).decode("utf-8"))
-    rows = header["rows"]
-    available = {c["name"]: c for c in header["columns"]}
-    wanted: List[str] = list(columns) if columns is not None else list(available)
-    for name in wanted:
-        if name not in available:
-            raise SchemaError(
-                f"chunk has no column {name!r}; available: {sorted(available)}"
-            )
-    view = memoryview(mapped)
-    decoded = {}
-    bytes_mapped = 0
-    wanted_set = set(wanted)
-    offset = base + header_len
-    for meta in header["columns"]:
-        if meta["name"] in wanted_set:
-            payload = view[offset:offset + meta["nbytes"]]
-            bytes_mapped += meta["nbytes"]
-            decoded[meta["name"]] = _decode_column(meta["kind"], rows, payload)
-        offset += meta["nbytes"]
-    registry = obs.get_registry()
-    registry.inc("store.chunks_read")
-    registry.inc("store.chunks_mapped")
-    registry.inc("store.bytes_mapped", bytes_mapped)
     return Table({name: decoded[name] for name in wanted})

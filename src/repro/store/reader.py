@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.store.cache import ChunkCache
 from repro.store.manifest import Manifest
-from repro.store.format import get_default_mmap, read_chunk
+from repro.store.format import read_chunk
 from repro.store.scan import Scan
 from repro.table.column import Column
 from repro.table.table import Table, concat
@@ -39,15 +39,10 @@ class TraceStore:
     """One on-disk chunked columnar store (one cell's trace)."""
 
     def __init__(self, directory: Union[str, os.PathLike],
-                 cache_chunks: int = 64,
-                 use_mmap: Optional[bool] = None):
+                 cache_chunks: int = 64):
         self.path = Path(directory)
         self.manifest = Manifest.load(self.path)
         self.cache = ChunkCache(cache_chunks)
-        #: Resolved once at open time (``None`` -> the module default),
-        #: so every chunk this store decodes — serial or shipped to a
-        #: worker pool — takes the same read path.
-        self.use_mmap = get_default_mmap() if use_mmap is None else use_mmap
 
     # -- metadata ------------------------------------------------------------
 
@@ -74,8 +69,7 @@ class TraceStore:
         cached = self.cache.get(key)
         if cached is not None:
             return cached
-        decoded = read_chunk(self.chunk_path(file), columns,
-                             use_mmap=self.use_mmap)
+        decoded = read_chunk(self.chunk_path(file), columns)
         self.cache.put(key, decoded)
         return decoded
 
@@ -115,14 +109,9 @@ class TraceStore:
 
 
 def open_store(directory: Union[str, os.PathLike],
-               cache_chunks: int = 64,
-               use_mmap: Optional[bool] = None) -> TraceStore:
-    """Open an existing store directory.
-
-    ``use_mmap=True`` serves chunk reads as read-only zero-copy views
-    over memory-mapped files (``None`` defers to the library default).
-    """
-    return TraceStore(directory, cache_chunks=cache_chunks, use_mmap=use_mmap)
+               cache_chunks: int = 64) -> TraceStore:
+    """Open an existing store directory."""
+    return TraceStore(directory, cache_chunks=cache_chunks)
 
 
 class _LazyTables(Mapping):

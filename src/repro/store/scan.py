@@ -127,8 +127,7 @@ class Scan:
         if workers is not None and workers > 1 and len(survivors) > 1:
             tasks: List[ChunkTask] = [
                 (str(self._store.chunk_path(c["file"])), decode,
-                 self._predicate, keep_columns, aggs_or_fn,
-                 self._store.use_mmap)
+                 self._predicate, keep_columns, aggs_or_fn)
                 for c in survivors
             ]
             results = run_tasks(tasks, workers)

@@ -35,8 +35,8 @@ def _coerce(values: Any) -> np.ndarray:
     if arr.dtype == bool:
         return arr
     # copy=False keeps an already-int64/float64 array as-is — in
-    # particular the store's zero-copy mmap views (read-only on purpose;
-    # columns are immutable-by-convention anyway).
+    # particular the store's read-only views over decoded chunk payloads
+    # (columns are immutable-by-convention anyway).
     if np.issubdtype(arr.dtype, np.integer):
         return arr.astype(np.int64, copy=False)
     if np.issubdtype(arr.dtype, np.floating):

@@ -77,15 +77,12 @@ def detect_format(directory: Union[str, os.PathLike]) -> Optional[str]:
 
 def load_trace(directory: Union[str, os.PathLike],
                format: Optional[str] = None,
-               cache_chunks: int = 64,
-               use_mmap: Optional[bool] = None) -> TraceDataset:
+               cache_chunks: int = 64) -> TraceDataset:
     """Read a trace previously written by :func:`save_trace`.
 
     The format is auto-detected unless forced.  Store-backed traces come
     back as a lazy :class:`~repro.store.reader.StoreBackedTraceDataset`
     (tables decode on first access); CSV traces load eagerly.
-    ``use_mmap`` selects the store's zero-copy mmap read path (``None``
-    defers to the module default; ignored for CSV traces).
     """
     path = Path(directory)
     if format is None:
@@ -97,8 +94,7 @@ def load_trace(directory: Union[str, os.PathLike],
     elif format not in FORMATS:
         raise ValueError(f"unknown trace format {format!r}; use one of {FORMATS}")
     if format == "store":
-        return TraceStore(path, cache_chunks=cache_chunks,
-                          use_mmap=use_mmap).to_dataset()
+        return TraceStore(path, cache_chunks=cache_chunks).to_dataset()
 
     meta_path = path / _META_FILE
     if not meta_path.exists():

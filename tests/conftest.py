@@ -8,29 +8,10 @@ shared with ``benchmarks/conftest.py`` and parametrized on cell size.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
-from repro.sim import eventq
-from repro.store import format as store_format
 from repro.trace import encode_cell
 from tests.trace_fixtures import FAULTY_SCALE, TEST_SCALE, build_result
-
-
-def pytest_configure(config):
-    """Alternate-config runs: the CI matrix re-runs the whole tier-1
-    suite with the calendar queue and mmap store reads switched on via
-    environment knobs (env reads live here, outside ``src/repro``, by
-    design — RPR002 keeps them out of library code).  Every golden must
-    stay byte-identical under either setting.
-    """
-    queue = os.environ.get("REPRO_SIM_QUEUE")  # repro: noqa[RPR008] alt-config knob; both queues are bit-identical
-    if queue:
-        eventq.set_default_queue(queue)
-    mmap_flag = os.environ.get("REPRO_STORE_MMAP")
-    if mmap_flag is not None and mmap_flag != "":
-        store_format.set_default_mmap(mmap_flag not in ("0", "false", "no"))
 
 
 @pytest.fixture(scope="session")

@@ -13,6 +13,7 @@ from repro.sim.entities import (
     InstanceState,
     SchedulerKind,
 )
+from repro.sim.fleet import FleetState
 from repro.util.rng import RngFactory
 
 
@@ -287,8 +288,8 @@ class TestReconcile:
             "avg_mem": np.array([0.1, 0.1]),
             "max_mem": np.array([0.1, 0.1]),
         }
-        machines = [Machine(0, Resources(1.0, 1.0))]
-        _reconcile_machine_usage(usage, machines, 300.0)
+        fleet = FleetState([Machine(0, Resources(1.0, 1.0))])
+        _reconcile_machine_usage(usage, fleet, 300.0)
         assert float(usage["avg_cpu"].sum()) == pytest.approx(0.98)
         assert float(usage["avg_mem"].sum()) == pytest.approx(0.2)  # untouched
 
@@ -301,12 +302,13 @@ class TestReconcile:
             "avg_mem": np.array([0.3]),
             "max_mem": np.array([0.4]),
         }
-        _reconcile_machine_usage(usage, [Machine(0, Resources(1.0, 1.0))], 300.0)
+        _reconcile_machine_usage(usage, FleetState([Machine(0, Resources(1.0, 1.0))]),
+                                 300.0)
         assert usage["avg_cpu"][0] == 0.3
 
     def test_empty_usage_ok(self):
         usage = {"window_start": np.empty(0)}
-        _reconcile_machine_usage(usage, [], 300.0)
+        _reconcile_machine_usage(usage, FleetState([]), 300.0)
 
 
 class TestDeterminism:

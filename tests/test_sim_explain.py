@@ -136,6 +136,7 @@ class TestConsistencyWithScheduler:
         """If the explainer says placeable-without-preemption, the real
         policy finds a machine too (and vice versa)."""
         import numpy as np
+        from repro.sim.fleet import FleetState
         from repro.sim.scheduler import PlacementPolicy
 
         rng = np.random.default_rng(0)
@@ -151,11 +152,12 @@ class TestConsistencyWithScheduler:
                         mem=float(rng.uniform(0, m.capacity.mem)), cid=cid)
                 cid += 1
         policy = PlacementPolicy(PARAMS, rng)
+        fleet = FleetState(machines)
         for _ in range(50):
             request = Resources(float(rng.uniform(0.01, 0.6)),
                                 float(rng.uniform(0.01, 0.6)))
             exp = explain_placement(machines, request, Tier.BEB, PARAMS)
-            found = policy.find_machine(machines, request)
+            found = policy.find_machine(fleet, request)
             assert (found is not None) == any(
                 v.verdict is Verdict.FITS for v in exp.verdicts)
 

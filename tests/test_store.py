@@ -128,6 +128,73 @@ class TestChunkFormat:
         assert header["rows"] == 3
         assert header["columns"][0]["kind"] == "int"
 
+    def test_numeric_columns_are_readonly(self, tmp_path):
+        # Numeric columns wrap the read buffer without a copy, so they
+        # come back read-only; columns are immutable by convention.
+        path = tmp_path / "c.rsc"
+        write_chunk(Table({"f": [1.5, 2.5], "i": [1, 2]}), path)
+        table = read_chunk(path)
+        for name in ("f", "i"):
+            values = table.column(name).values
+            assert not values.flags.writeable
+            with pytest.raises((ValueError, RuntimeError)):
+                values[0] = 0
+
+
+def _truncate(path, nbytes=3):
+    data = path.read_bytes()
+    path.write_bytes(data[:-nbytes])
+
+
+class TestDamagedChunks:
+    """A damaged chunk raises a SchemaError naming the chunk file; it
+    never decodes into shortened or shifted values."""
+
+    def test_truncated_string_column(self, tmp_path):
+        path = tmp_path / "c.rsc"
+        write_chunk(Table({"n": [1, 2, 3],
+                           "user": ["alice", "bob", "carol"]}), path)
+        _truncate(path)
+        with pytest.raises(SchemaError, match=r"c\.rsc.*truncated"):
+            read_chunk(path)
+        # The intact column still decodes on its own.
+        assert read_chunk(path, columns=["n"]).column("n").values.tolist() \
+            == [1, 2, 3]
+
+    def test_truncated_float_column(self, tmp_path):
+        path = tmp_path / "c.rsc"
+        write_chunk(Table({"s": ["x", "y"], "f": [0.5, 1.5]}), path)
+        _truncate(path)
+        with pytest.raises(SchemaError, match=r"c\.rsc.*truncated"):
+            read_chunk(path)
+
+    def test_decreasing_string_offsets(self, tmp_path):
+        path = tmp_path / "c.rsc"
+        write_chunk(Table({"s": ["ab", "cd"]}), path)
+        header = read_chunk_header(path)
+        data = bytearray(path.read_bytes())
+        # Payload starts after magic, the 8-byte length and the header;
+        # the offsets are [0, 2, 4]: point the middle one past the end.
+        start = len(data) - header["columns"][0]["nbytes"]
+        data[start + 8:start + 16] = (5).to_bytes(8, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(SchemaError, match="offsets"):
+            read_chunk(path)
+
+    @pytest.mark.parametrize("last", ["tier", "avg_cpu"])
+    def test_truncated_chunk_in_store(self, tmp_path, last):
+        write_store(_dataset(usage_rows=300), tmp_path / "s", chunk_rows=128)
+        store = open_store(tmp_path / "s")
+        path = store.chunk_path(store.manifest.chunks("instance_usage")[0]["file"])
+        # Rewrite the chunk with ``last`` as its final column, then cut
+        # into that column's payload.
+        table = read_chunk(path)
+        order = [c for c in table.column_names if c != last] + [last]
+        write_chunk(table.select(*order), path)
+        _truncate(path)
+        with pytest.raises(SchemaError, match="truncated"):
+            open_store(tmp_path / "s").read_table("instance_usage")
+
 
 class TestChunkStats:
     def test_min_max_per_kind(self):
