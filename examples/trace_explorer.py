@@ -4,7 +4,8 @@
 The paper's authors ran "near-arbitrary queries against a multi-GiB
 dataset" on BigQuery (section 9); this example shows the equivalent
 workflow here: persist a trace to disk, load it back, and answer
-questions with the relational API (filter / group_by / join).
+questions with the relational API (filter / group_by / join), using
+column operators for filter masks and derived columns.
 
     python examples/trace_explorer.py [seed]
 """
@@ -13,7 +14,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.table import col
 from repro.trace import encode_cell, load_trace, save_trace, to_2011_tables
 from repro.util.timeutil import HOUR_SECONDS
 from repro.workload import small_test_scenario
@@ -30,8 +30,9 @@ def main(seed: int = 4) -> None:
     trace = load_trace(workdir)
 
     print("\n== Q1: who submits the most jobs? ==")
-    submits = trace.collection_events.filter(
-        (col("type") == "SUBMIT") & (col("collection_type") == "job"))
+    events = trace.collection_events
+    submits = events.filter(
+        (events["type"] == "SUBMIT") & (events["collection_type"] == "job"))
     top_users = (submits.group_by("user")
                  .agg(jobs=("collection_id", "nunique"))
                  .sort("jobs", descending=True)
@@ -39,10 +40,10 @@ def main(seed: int = 4) -> None:
     print(top_users.to_string())
 
     print("\n== Q2: kill rate by tier ==")
-    terminals = trace.collection_events.filter(
-        col("type").isin(["FINISH", "KILL", "FAIL", "EVICT"]))
+    terminals = events.filter(
+        events["type"].isin(["FINISH", "KILL", "FAIL", "EVICT"]))
     by_tier = (terminals
-               .with_column("killed", col("type") == "KILL")
+               .with_column("killed", terminals["type"] == "KILL")
                .group_by("tier")
                .agg(jobs=("collection_id", "count"),
                     kill_rate=("killed", "mean"))
@@ -50,15 +51,16 @@ def main(seed: int = 4) -> None:
     print(by_tier.to_string())
 
     print("\n== Q3: join usage against machine capacity (hottest machines) ==")
-    usage = trace.instance_usage.with_column(
-        "cpu_hours", col("avg_cpu") * col("duration") / HOUR_SECONDS)
+    usage = trace.instance_usage
+    usage = usage.with_column(
+        "cpu_hours", usage["avg_cpu"] * usage["duration"] / HOUR_SECONDS)
     per_machine = (usage.group_by("machine_id")
                    .agg(cpu_hours=("cpu_hours", "sum")))
     joined = per_machine.join(trace.machine_attributes, on="machine_id")
     hottest = (joined
                .with_column("mean_util",
-                            col("cpu_hours") / (col("cpu_capacity")
-                                                * trace.horizon_hours))
+                            joined["cpu_hours"] / (joined["cpu_capacity"]
+                                                   * trace.horizon_hours))
                .sort("mean_util", descending=True)
                .select("machine_id", "platform", "cpu_capacity", "mean_util")
                .head(5))

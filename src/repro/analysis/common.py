@@ -1,17 +1,12 @@
 """Shared analysis primitives: per-job integrals, hourly tier series.
 
 All heavy lifting is vectorized over the usage table's numpy columns —
-the month-scale tables have millions of rows.  Each hot reducer also has
-a ``*_store`` variant that runs against a chunked
-:class:`~repro.store.reader.TraceStore` without materializing the table:
-chunks stream through picklable per-chunk partial functions (optionally
-across worker processes) and the partials merge associatively.
+the month-scale tables have millions of rows.
 """
 
 from __future__ import annotations
 
-import functools
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
 import numpy as np
 
@@ -37,17 +32,6 @@ def alloc_set_ids(trace: TraceDataset) -> Set[int]:
     ids = ce.column("collection_id").values
     kinds = ce.column("collection_type").values
     return {int(ids[i]) for i in range(len(ce)) if kinds[i] == "alloc_set"}
-
-
-def group_reduce(keys: np.ndarray, values: np.ndarray,
-                 reducer=np.add.reduceat) -> Tuple[np.ndarray, np.ndarray]:
-    """Reduce ``values`` per unique key; returns (unique_keys, reduced)."""
-    if len(keys) == 0:
-        return np.empty(0, dtype=keys.dtype), np.empty(0)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(sorted_keys)) + 1])
-    return sorted_keys[starts], reducer(values[order], starts)
 
 
 @obs.traced("analysis.job_usage_integrals")
@@ -144,23 +128,6 @@ def average_tier_fractions(trace: TraceDataset, resource: str = "cpu",
     return {tier: float(np.mean(values)) for tier, values in series.items()}
 
 
-def first_event_times(trace: TraceDataset, event: str,
-                      instance_level: bool = False) -> Dict[int, float]:
-    """Earliest time of ``event`` per collection (or per instance's collection)."""
-    table = trace.instance_events if instance_level else trace.collection_events
-    ids = table.column("collection_id").values
-    types = table.column("type").values
-    times = table.column("time").values
-    out: Dict[int, float] = {}
-    for i in range(len(table)):
-        if types[i] == event:
-            cid = int(ids[i])
-            t = float(times[i])
-            if cid not in out or t < out[cid]:
-                out[cid] = t
-    return out
-
-
 def collection_metadata(trace: TraceDataset) -> Table:
     """One row per collection from its SUBMIT event (id, tier, type, ...)."""
     ce = trace.collection_events
@@ -169,151 +136,3 @@ def collection_metadata(trace: TraceDataset) -> Table:
     submits = ce.filter(ce.column("type") == "SUBMIT")
     return submits.distinct("collection_id")
 
-
-# -- store-aware variants -----------------------------------------------------
-#
-# These take a repro.store.TraceStore and compute the same results as the
-# in-memory reducers above, but one chunk at a time: projection pushdown
-# keeps the decode narrow, per-chunk partials are picklable so they can
-# fan out over ``workers`` processes, and nothing ever holds the full
-# table.  The per-chunk map functions live at module scope (not closures)
-# because worker processes import them by name.
-
-def alloc_set_ids_store(store, workers: Optional[int] = None) -> Set[int]:
-    """Store-backed :func:`alloc_set_ids`: pushes the alloc-set filter
-    and a two-column projection into the scan."""
-    # Imported here, not at module top: repro.store's package init pulls
-    # in repro.trace, whose sample module imports this module.
-    from repro.store.predicates import Compare
-
-    table = (store.scan("collection_events")
-                  .where(Compare("collection_type", "==", "alloc_set"))
-                  .select("collection_id")
-                  .to_table(workers=workers))
-    return {int(v) for v in table.column("collection_id").values}
-
-
-def _usage_integral_partial(table: Table) -> Tuple[np.ndarray, ...]:
-    """One chunk's per-collection partial sums (+ first-row metadata)."""
-    ids = table.column("collection_id").values
-    hours = table.column("duration").values / HOUR_SECONDS
-    ncu = table.column("avg_cpu").values * hours
-    nmu = table.column("avg_mem").values * hours
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(sorted_ids)) + 1]) \
-        if len(ids) else np.empty(0, dtype=np.int64)
-    unique_ids = sorted_ids[starts] if len(ids) else sorted_ids
-    rep = order[starts] if len(ids) else order
-    return (
-        unique_ids,
-        np.add.reduceat(ncu[order], starts) if len(ids) else ncu,
-        np.add.reduceat(nmu[order], starts) if len(ids) else nmu,
-        merge_monitoring_tier(table.column("tier").values[rep]),
-        table.column("in_alloc").values[rep],
-        table.column("vertical_scaling").values[rep],
-    )
-
-
-@obs.traced("analysis.job_usage_integrals_store")
-def job_usage_integrals_store(store, include_alloc_sets: bool = False,
-                              workers: Optional[int] = None) -> Table:
-    """Store-backed :func:`job_usage_integrals` (identical output)."""
-    scan = store.scan("instance_usage").select(
-        "collection_id", "duration", "avg_cpu", "avg_mem",
-        "tier", "in_alloc", "vertical_scaling")
-    partials = scan.map_reduce(_usage_integral_partial, workers=workers)
-    partials = [p for p in partials if len(p[0])]
-    if not partials:
-        return Table({"collection_id": [], "tier": [], "in_alloc": [],
-                      "vertical_scaling": [], "ncu_hours": [], "nmu_hours": []})
-    ids = np.concatenate([p[0] for p in partials])
-    ncu = np.concatenate([p[1] for p in partials])
-    nmu = np.concatenate([p[2] for p in partials])
-    tiers = np.concatenate([p[3].astype(object) for p in partials])
-    in_alloc = np.concatenate([p[4] for p in partials])
-    scaling = np.concatenate([p[5].astype(object) for p in partials])
-
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(sorted_ids)) + 1])
-    unique_ids = sorted_ids[starts]
-    rep = order[starts]  # earliest chunk wins, matching row-order semantics
-
-    if not include_alloc_sets:
-        allocs = alloc_set_ids_store(store, workers=workers)
-        keep = np.asarray([int(i) not in allocs for i in unique_ids], dtype=bool)
-    else:
-        keep = np.ones(len(unique_ids), dtype=bool)
-    return Table({
-        "collection_id": unique_ids[keep],
-        "tier": tiers[rep][keep],
-        "in_alloc": in_alloc[rep][keep],
-        "vertical_scaling": scaling[rep][keep],
-        "ncu_hours": np.add.reduceat(ncu[order], starts)[keep],
-        "nmu_hours": np.add.reduceat(nmu[order], starts)[keep],
-    })
-
-
-def _hourly_tier_partial(table: Table, column: str, n_hours: int,
-                         allocation: bool) -> Dict[str, np.ndarray]:
-    """One chunk's per-tier hourly resource-hour sums (not yet scaled)."""
-    values = table.column(column).values * (table.column("duration").values
-                                            / HOUR_SECONDS)
-    hour = (table.column("start_time").values / HOUR_SECONDS).astype(np.int64)
-    hour = np.clip(hour, 0, n_hours - 1)
-    tiers = merge_monitoring_tier(table.column("tier").values)
-    mask_base = ~table.column("in_alloc").values if allocation \
-        else np.ones(len(table), dtype=bool)
-    out = {}
-    for tier in TIER_ORDER:
-        mask = mask_base & (tiers == tier)
-        if mask.any():
-            out[tier] = np.bincount(hour[mask], weights=values[mask],
-                                    minlength=n_hours)
-    return out
-
-
-def _merge_tier_series(a: Dict[str, np.ndarray],
-                       b: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-    out = dict(a)
-    for tier, series in b.items():
-        out[tier] = out[tier] + series if tier in out else series
-    return out
-
-
-@obs.traced("analysis.hourly_tier_series_store")
-def hourly_tier_series_store(store, resource: str = "cpu",
-                             quantity: str = "usage",
-                             workers: Optional[int] = None) -> Dict[str, np.ndarray]:
-    """Store-backed :func:`hourly_tier_series` (identical output)."""
-    if resource not in ("cpu", "mem"):
-        raise ValueError(f"resource must be 'cpu' or 'mem', got {resource!r}")
-    if quantity not in ("usage", "allocation"):
-        raise ValueError(f"quantity must be 'usage' or 'allocation', got {quantity!r}")
-    meta = store.meta
-    n_hours = int(np.ceil(meta["horizon"] / HOUR_SECONDS))
-    capacity = meta["capacity_cpu"] if resource == "cpu" else meta["capacity_mem"]
-    out = {tier: np.zeros(n_hours) for tier in TIER_ORDER}
-    if store.rows("instance_usage") == 0 or capacity <= 0:
-        return out
-    column = {"usage": {"cpu": "avg_cpu", "mem": "avg_mem"},
-              "allocation": {"cpu": "limit_cpu", "mem": "limit_mem"}}[quantity][resource]
-    scan = store.scan("instance_usage").select(
-        "start_time", "duration", "tier", "in_alloc", column)
-    map_fn = functools.partial(_hourly_tier_partial, column=column,
-                               n_hours=n_hours,
-                               allocation=quantity == "allocation")
-    merged = scan.map_reduce(map_fn, _merge_tier_series, workers=workers) or {}
-    for tier, series in merged.items():
-        out[tier] = series / capacity
-    return out
-
-
-def average_tier_fractions_store(store, resource: str = "cpu",
-                                 quantity: str = "usage",
-                                 workers: Optional[int] = None) -> Dict[str, float]:
-    """Store-backed :func:`average_tier_fractions` (identical output)."""
-    series = hourly_tier_series_store(store, resource=resource,
-                                      quantity=quantity, workers=workers)
-    return {tier: float(np.mean(values)) for tier, values in series.items()}

@@ -88,13 +88,12 @@ from repro.store import (
     Between,
     Compare,
     IsIn,
-    convert_csv_to_store,
-    convert_store_to_csv,
     open_store,
 )
 from repro.store.writer import DEFAULT_CHUNK_ROWS
 from repro.trace import encode_cell, load_trace, save_trace, validate_trace
-from repro.trace.io import detect_format
+from repro.trace.io import (convert_csv_to_store, convert_store_to_csv,
+                             detect_format)
 from repro.faults import FAULT_PROFILES
 from repro.workload import ARCHETYPE_MIXES, scenario_2011, scenarios_2019
 

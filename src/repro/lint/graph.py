@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.lint.names import ImportMap, dotted_name
 
@@ -96,10 +96,6 @@ class ModuleInfo:
             elif isinstance(node, ast.AnnAssign) and node.value is not None \
                     and isinstance(node.target, ast.Name):
                 self.global_values[node.target.id] = node.value
-
-    def defines(self, name: str) -> bool:
-        return (name in self.functions or name in self.classes
-                or name in self.global_values)
 
     @property
     def package(self) -> str:
@@ -232,20 +228,6 @@ class ProjectGraph:
                 continue
             out.add(current)
             frontier.extend(self._importers.get(current, ()))
-        return out
-
-    def dependency_closure(self, names: Iterable[str]) -> Set[str]:
-        """``names`` plus everything they transitively import."""
-        out: Set[str] = set()
-        frontier = list(names)
-        while frontier:
-            current = frontier.pop()
-            if current in out:
-                continue
-            out.add(current)
-            info = self.modules.get(current)
-            if info is not None:
-                frontier.extend(info.imports)
         return out
 
     # -- symbol / call resolution --------------------------------------------

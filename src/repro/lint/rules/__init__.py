@@ -6,8 +6,6 @@ RPR001  schema consistency — column strings must exist in the canonical
         schema of the table being read (repro/trace/schema.py).
 RPR002  determinism — no wall clocks or global RNG inside repro.sim and
         repro.workload; only injected np.random.Generator streams.
-RPR003  fork safety — map/reduce callables handed to the store executor
-        must be importable by name from worker processes.
 RPR004  exception hygiene — broad excepts must re-raise, log, or narrow.
 RPR005  unit discipline — resource/time magnitudes go through the named
         constants in repro.util, never raw literals.
@@ -32,6 +30,9 @@ RPR010  iteration order — set/filesystem-order iterables must pass
         through sorted() before reaching JSON output or the campaign
         cache-key functions.
 
+Ids are never renumbered or reused: a retired rule's id stays vacant,
+so ``noqa`` comments and CI selections keep their meaning.
+
 Adding a rule: create a module here defining a :class:`repro.lint.Rule`
 subclass with the next free ``RPR`` id, decorate it with
 ``@repro.lint.core.rule``, and import the module below.  The driver,
@@ -42,7 +43,6 @@ from repro.lint.rules import (  # noqa: F401  (imported for registration)
     determinism,
     exception_hygiene,
     flow_determinism,
-    fork_safety,
     fork_share,
     hot_loop_guards,
     iteration_order,

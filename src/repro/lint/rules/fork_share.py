@@ -11,8 +11,8 @@ sanctioned escape is the scoped-registry pattern
 (:func:`repro.obs.registry.scoped_registry`): workers record into a
 fresh registry and ship an explicit snapshot home.
 
-This rule finds every function *submitted to a pool* (``map_reduce``
-callables, ``pool.imap``/``map``/``apply_async``/... targets, through
+This rule finds every function *submitted to a pool*
+(``pool.imap``/``map``/``apply_async``/... targets, through
 ``functools.partial`` and local aliases), takes the transitive closure
 over the project call graph, and inside that worker-callable set flags
 direct reads and writes of module-level **mutable** state — dict/list/
@@ -24,8 +24,7 @@ pattern.
 
 Like the other flow rules this is whole-program: the submission site,
 the worker function, and the shared global are routinely in three
-different files, which is exactly why the per-file RPR003 cannot see
-the race.
+different files, which is why no per-file check can see the race.
 
 Unlike RPR008/RPR010, whose facts flow *with* the import direction
 (a file's verdict depends only on modules it imports), RPR009 facts
@@ -62,9 +61,6 @@ POOL_METHODS = frozenset({"imap", "imap_unordered", "map_async",
                           "starmap", "starmap_async", "apply_async"})
 #: Generic names that only count on pool/executor-ish receivers.
 POOL_METHODS_GUARDED = frozenset({"map", "apply", "submit"})
-#: The store executor's fan-out entry (see RPR003).
-EXECUTOR_METHODS = frozenset({"map_reduce"})
-EXECUTOR_KEYWORDS = ("map_fn", "reduce_fn")
 
 #: Constructor calls producing shared-mutable module state.
 MUTABLE_CONSTRUCTORS = frozenset({
@@ -293,11 +289,7 @@ def _submission_seeds(info: ModuleInfo,
                 continue
             attr = call.func.attr
             candidates: List[ast.AST] = []
-            if attr in EXECUTOR_METHODS:
-                candidates = list(call.args[:2])
-                candidates += [kw.value for kw in call.keywords
-                               if kw.arg in EXECUTOR_KEYWORDS]
-            elif attr in POOL_METHODS:
+            if attr in POOL_METHODS:
                 candidates = list(call.args[:1])
                 candidates += [kw.value for kw in call.keywords
                                if kw.arg == "func"]

@@ -44,7 +44,6 @@ from repro.obs.recorder import (
 from repro.obs.registry import (
     Counter,
     MetricsRegistry,
-    current_span_node,
     get_registry,
     scoped_registry,
     set_registry,
@@ -54,7 +53,6 @@ from repro.obs.report import (
     load_report,
     render_report,
     run_report,
-    snapshot_report,
     write_report,
 )
 from repro.obs.snapshot import Snapshot
@@ -135,7 +133,6 @@ __all__ = [
     "StatusLine",
     "TimingHistogram",
     "counter",
-    "current_span_node",
     "frames_fingerprint",
     "gauge",
     "get_registry",
@@ -151,7 +148,6 @@ __all__ = [
     "scoped_registry",
     "set_registry",
     "snapshot",
-    "snapshot_report",
     "span",
     "strip_volatile",
     "timer",

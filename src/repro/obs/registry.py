@@ -28,7 +28,7 @@ import contextlib
 from typing import Dict, Iterator, Optional
 
 from repro.obs.snapshot import Snapshot
-from repro.obs.spans import Span, SpanNode, SpanTree
+from repro.obs.spans import Span, SpanTree
 from repro.obs.timing import TimingHistogram
 
 
@@ -169,8 +169,3 @@ def scoped_registry(registry: Optional[MetricsRegistry] = None
         yield fresh
     finally:
         set_registry(previous)
-
-
-def current_span_node() -> SpanNode:
-    """The currently-open span node (the root when none is open)."""
-    return _CURRENT.spans.current

@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import json
 import os
-import sys
-from typing import Dict, List, Optional, TextIO, Union
+from typing import Dict, List, Optional, Union
 
 from repro.obs.registry import MetricsRegistry, get_registry
-from repro.obs.snapshot import Snapshot
 from repro.obs.timing import TimingHistogram
 
 #: The report schema identifier (bump on incompatible layout changes).
@@ -170,14 +168,3 @@ def render_report(report: dict) -> str:
                 f"p99={_fmt_seconds(summary['p99'])} "
                 f"sum={_fmt_seconds(summary['sum'])}")
     return "\n".join(lines) + "\n"
-
-
-def print_report(report: dict, stream: Optional[TextIO] = None) -> None:
-    (stream or sys.stdout).write(render_report(report))
-
-
-def snapshot_report(snapshot: Snapshot, command: str = "") -> dict:
-    """A report built from an already-taken snapshot (tests, tooling)."""
-    registry = MetricsRegistry()
-    registry.merge_snapshot(snapshot)
-    return run_report(command=command, registry=registry)

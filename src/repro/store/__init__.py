@@ -16,9 +16,11 @@ This package is that idea at laptop scale:
 * :mod:`~repro.store.cache` — an LRU of decoded chunks with hit/miss
   counters;
 * :mod:`~repro.store.writer` / :mod:`~repro.store.reader` — atomic
-  store writing, :class:`TraceStore`, and a lazily-backed
-  :class:`~repro.trace.dataset.TraceDataset`;
-* :mod:`~repro.store.convert` — CSV layout ↔ store conversion.
+  store writing and :class:`TraceStore`.
+
+The package imports nothing from :mod:`repro.trace`; the lazily-backed
+:class:`~repro.trace.dataset.TraceDataset` view and the CSV ↔ store
+converters live in :mod:`repro.trace.io`.
 
 Quick tour::
 
@@ -34,7 +36,6 @@ Quick tour::
 """
 
 from repro.store.cache import CacheStats, ChunkCache
-from repro.store.convert import convert_csv_to_store, convert_store_to_csv
 from repro.store.executor import (
     AGG_KINDS,
     Agg,
@@ -45,7 +46,7 @@ from repro.store.executor import (
 from repro.store.format import read_chunk, read_chunk_header, write_chunk
 from repro.store.manifest import MANIFEST_FILE, Manifest, chunk_stats
 from repro.store.predicates import And, Between, Compare, IsIn, Or, Predicate
-from repro.store.reader import StoreBackedTraceDataset, TraceStore, open_store
+from repro.store.reader import TraceStore, open_store
 from repro.store.scan import Scan, ScanStats
 from repro.store.writer import (DEFAULT_CHUNK_ROWS, DEFAULT_CLUSTER_BY,
                                 write_store)
@@ -67,11 +68,8 @@ __all__ = [
     "Predicate",
     "Scan",
     "ScanStats",
-    "StoreBackedTraceDataset",
     "TraceStore",
     "chunk_stats",
-    "convert_csv_to_store",
-    "convert_store_to_csv",
     "default_workers",
     "merge_partials",
     "open_store",

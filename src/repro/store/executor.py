@@ -118,20 +118,19 @@ def merge_partials(partials: Sequence[Dict[str, object]],
 
 #: One task: (chunk path, columns to decode, predicate or None, columns
 #: to keep after filtering, reducer).  The reducer is a tuple of Agg
-#: specs, a picklable callable ``Table -> payload``, or None (return the
-#: filtered projection itself).
+#: specs, or None (return the filtered projection itself).
 ChunkTask = Tuple[str, Tuple[str, ...], Optional[Predicate],
-                  Tuple[str, ...], object]
+                  Tuple[str, ...], Optional[Tuple[Agg, ...]]]
 
 
 def process_table(table: Table, predicate: Optional[Predicate],
                   keep_columns: Tuple[str, ...],
-                  reducer) -> Tuple[object, int, int]:
+                  reducer: Optional[Tuple[Agg, ...]]) -> Tuple[object, int, int]:
     """Filter + reduce one decoded chunk.
 
     Returns ``(payload, rows_decoded, rows_matched)`` where the payload
-    is an aggregate-partial dict (tuple-of-Agg reducer), the callable's
-    return value, or the filtered projected :class:`Table` (``None``).
+    is an aggregate-partial dict (tuple-of-Agg reducer) or the filtered
+    projected :class:`Table` (``None``).
     """
     rows_decoded = len(table)
     if predicate is not None:
@@ -139,10 +138,6 @@ def process_table(table: Table, predicate: Optional[Predicate],
     rows_matched = len(table)
     if reducer is None:
         return table.select(*keep_columns), rows_decoded, rows_matched
-    if callable(reducer):
-        if keep_columns:
-            table = table.select(*keep_columns)
-        return reducer(table), rows_decoded, rows_matched
     # Aggregates run on the filtered chunk directly; projecting first
     # would turn a count-only scan into a zero-column (zero-length) table.
     return partial_aggregate(table, reducer), rows_decoded, rows_matched

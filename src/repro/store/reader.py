@@ -1,22 +1,18 @@
-"""Reading a store: :class:`TraceStore` and the lazily-backed dataset.
+"""Reading a store: :class:`TraceStore`.
 
 ``TraceStore`` is the query entry point — open the manifest, build
 :class:`~repro.store.scan.Scan` objects, materialize tables.  Decoded
 chunks are served through an LRU :class:`~repro.store.cache.ChunkCache`,
-so repeated analyses over the same store mostly hit memory.
-
-``StoreBackedTraceDataset`` makes a store quack like a fully-loaded
-:class:`~repro.trace.dataset.TraceDataset`: every existing analysis
-works unchanged, but each table is decoded only on first access.
+so repeated analyses over the same store mostly hit memory.  The lazy
+:class:`~repro.trace.dataset.TraceDataset` view over a store lives in
+:mod:`repro.trace.io`, which knows both layers.
 """
 
 from __future__ import annotations
 
 import os
-from collections.abc import Mapping
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -98,11 +94,6 @@ class TraceStore:
         parts = [self.load_chunk(table, c["file"], wanted) for c in chunks]
         return concat(parts)
 
-    def to_dataset(self) -> "StoreBackedTraceDataset":
-        """A lazy :class:`TraceDataset` view over this store."""
-        return StoreBackedTraceDataset(tables=_LazyTables(self), store=self,
-                                       **self.meta)
-
     def __repr__(self) -> str:
         rows = {name: self.rows(name) for name in self.table_names}
         return f"TraceStore({str(self.path)!r}, rows={rows})"
@@ -113,63 +104,3 @@ def open_store(directory: Union[str, os.PathLike],
     """Open an existing store directory."""
     return TraceStore(directory, cache_chunks=cache_chunks)
 
-
-class _LazyTables(Mapping):
-    """Mapping of table name -> Table that decodes on first access."""
-
-    def __init__(self, store: TraceStore):
-        self._store = store
-        self._loaded: Dict[str, Table] = {}
-
-    def __getitem__(self, name: str) -> Table:
-        if name not in self._loaded:
-            self._loaded[name] = self._store.read_table(name)
-        return self._loaded[name]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._store.table_names)
-
-    def __len__(self) -> int:
-        return len(self._store.table_names)
-
-    @property
-    def loaded_tables(self) -> List[str]:
-        """Names decoded so far (observability for tests and tuning)."""
-        return sorted(self._loaded)
-
-
-# Imported late to dodge the repro.trace <-> repro.store import cycle
-# (trace.io imports the writer/reader; the dataset only needs the class).
-from repro.trace.dataset import SCHEMA_2019, TraceDataset  # noqa: E402
-
-
-@dataclass
-class StoreBackedTraceDataset(TraceDataset):
-    """A TraceDataset whose tables decode lazily from a store."""
-
-    store: Optional[TraceStore] = None
-
-    def __post_init__(self):
-        # Validate against the manifest instead of materializing tables;
-        # report every mismatched table at once.
-        problems = []
-        for name, columns in SCHEMA_2019.items():
-            if name not in self.store.manifest.table_names:
-                problems.append(f"missing table {name!r}")
-                continue
-            got = self.store.manifest.column_names(name)
-            if got != columns:
-                problems.append(
-                    f"table {name!r} has columns {got}, expected {columns}"
-                )
-        if problems:
-            raise ValueError("; ".join(problems))
-
-    @property
-    def loaded_tables(self) -> List[str]:
-        return self.tables.loaded_tables  # type: ignore[union-attr]
-
-    def __repr__(self) -> str:
-        sizes = {name: self.store.rows(name) for name in self.store.table_names}
-        return (f"StoreBackedTraceDataset(cell={self.cell!r}, era={self.era}, "
-                f"rows={sizes}, loaded={self.loaded_tables})")

@@ -11,9 +11,8 @@ work pruning saved.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.store.executor import (
@@ -112,12 +111,14 @@ class Scan:
 
     # -- execution -----------------------------------------------------------
 
-    def _execute(self, aggs_or_fn, keep_columns: Tuple[str, ...],
+    def _execute(self, aggs: Optional[Tuple[Agg, ...]],
+                 keep_columns: Tuple[str, ...],
                  workers: Optional[int]) -> List[Tuple[object, int, int]]:
         with obs.span("store.scan"):
-            return self._execute_inner(aggs_or_fn, keep_columns, workers)
+            return self._execute_inner(aggs, keep_columns, workers)
 
-    def _execute_inner(self, aggs_or_fn, keep_columns: Tuple[str, ...],
+    def _execute_inner(self, aggs: Optional[Tuple[Agg, ...]],
+                       keep_columns: Tuple[str, ...],
                        workers: Optional[int]) -> List[Tuple[object, int, int]]:
         chunks = self._store.manifest.chunks(self._table)
         survivors = self.surviving_chunks()
@@ -127,7 +128,7 @@ class Scan:
         if workers is not None and workers > 1 and len(survivors) > 1:
             tasks: List[ChunkTask] = [
                 (str(self._store.chunk_path(c["file"])), decode,
-                 self._predicate, keep_columns, aggs_or_fn)
+                 self._predicate, keep_columns, aggs)
                 for c in survivors
             ]
             results = run_tasks(tasks, workers)
@@ -138,7 +139,7 @@ class Scan:
                     table = self._store.load_chunk(self._table, c["file"],
                                                    decode)
                     results.append(process_table(table, self._predicate,
-                                                 keep_columns, aggs_or_fn))
+                                                 keep_columns, aggs))
         for _, rows_decoded, rows_matched in results:
             stats.chunks_decoded += 1
             stats.rows_decoded += rows_decoded
@@ -179,21 +180,3 @@ class Scan:
 
     def count(self, workers: Optional[int] = None) -> int:
         return self.aggregate(Agg("count"), workers=workers)["count"]
-
-    def map_reduce(self, map_fn: Callable[[Table], object],
-                   reduce_fn: Optional[Callable[[object, object], object]] = None,
-                   workers: Optional[int] = None):
-        """Apply a picklable ``map_fn`` to each surviving chunk's filtered,
-        projected rows; combine payloads pairwise with ``reduce_fn`` (or
-        return the list of payloads in chunk order when it is ``None``).
-
-        This is the escape hatch for reductions richer than the built-in
-        aggregates — e.g. the store-aware analysis reducers group and bin
-        inside ``map_fn`` and merge partial vectors in ``reduce_fn``.
-        """
-        keep = tuple(self.output_columns())
-        results = self._execute(map_fn, keep, workers)
-        payloads = [payload for payload, _, _ in results]
-        if reduce_fn is None:
-            return payloads
-        return functools.reduce(reduce_fn, payloads) if payloads else None

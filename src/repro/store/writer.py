@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from repro import obs
 from repro.store.format import CHUNK_SUFFIX, write_chunk
 from repro.store.manifest import Manifest, chunk_stats
 from repro.table.table import Table
-from repro.trace.schema import TIME_COLUMNS
 from repro.util.fs import atomic_directory
 
 #: Default rows per chunk.  Small enough that a 48-hour cell yields tens
@@ -36,20 +35,22 @@ DEFAULT_CHUNK_ROWS = 8192
 #: BigQuery tables the 2019 trace ships as.  The simulator emits usage
 #: rows grouped per instance (each group spanning the whole horizon), so
 #: *without* this sort every chunk's time range covers the full trace
-#: and time-window pushdown can never skip anything.  Derived from the
-#: canonical schema: every table with a time column clusters on it.
-DEFAULT_CLUSTER_BY: Dict[str, str] = dict(TIME_COLUMNS)
+#: and time-window pushdown can never skip anything.  A table clusters
+#: on its ``start_time`` column, else on its ``time`` column: the rule
+#: ``repro.trace.schema.TIME_COLUMNS`` is derived by, restated here
+#: because the store layer does not import the trace layer.
+DEFAULT_CLUSTER_BY: Tuple[str, ...] = ("start_time", "time")
 
 
 def write_store(trace, directory: Union[str, os.PathLike],
                 chunk_rows: int = DEFAULT_CHUNK_ROWS,
-                cluster_by: Optional[Dict[str, str]] = DEFAULT_CLUSTER_BY) -> None:
+                cluster_by: Optional[Sequence[str]] = DEFAULT_CLUSTER_BY) -> None:
     """Persist ``trace`` (a :class:`TraceDataset`) under ``directory``.
 
-    ``cluster_by`` maps table name -> column to stably sort by before
-    chunking (BigQuery-style clustering; tables without their listed
-    column, and unlisted tables, keep their row order).  Pass ``None``
-    or ``{}`` to preserve the exact input row order everywhere.
+    Each table is stably sorted by the first ``cluster_by`` column it
+    has before chunking (BigQuery-style clustering; tables with none of
+    them keep their row order).  Pass ``None`` or ``()`` to preserve the
+    exact input row order everywhere.
     """
     if chunk_rows < 1:
         raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
@@ -62,12 +63,11 @@ def write_store(trace, directory: Union[str, os.PathLike],
         "capacity_cpu": trace.capacity_cpu,
         "capacity_mem": trace.capacity_mem,
     }
-    cluster_by = cluster_by or {}
     with obs.span("store.write"), atomic_directory(directory) as tmp:
         manifest = Manifest.new(meta, chunk_rows)
         for name, table in trace.tables.items():
-            key = cluster_by.get(name)
-            if key is not None and key in table and len(table) > 1:
+            key = next((c for c in cluster_by or () if c in table), None)
+            if key is not None and len(table) > 1:
                 table = table.sort(key)
             _write_table(manifest, tmp, name, table, chunk_rows)
         manifest.save(tmp)

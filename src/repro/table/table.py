@@ -12,10 +12,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 import numpy as np
 
 from repro.table.column import Column
-from repro.table.expr import Expr
 from repro.util.errors import SchemaError
-
-FilterArg = Union[Expr, np.ndarray, Sequence[bool]]
 
 
 class Table:
@@ -110,17 +107,13 @@ class Table:
             self.column(src)
         return Table({mapping.get(n, n): c for n, c in self._columns.items()})
 
-    def _resolve_mask(self, predicate: FilterArg) -> np.ndarray:
-        mask = predicate.evaluate(self) if isinstance(predicate, Expr) else np.asarray(predicate)
+    def filter(self, mask: Union[np.ndarray, Sequence[bool]]) -> "Table":
+        """Rows where the boolean ``mask`` (e.g. ``t["tier"] == "prod"``) holds."""
+        mask = np.asarray(mask)
         if mask.dtype != bool:
             raise SchemaError(f"filter predicate must be boolean, got dtype {mask.dtype}")
         if len(mask) != self._length:
             raise SchemaError(f"filter mask has {len(mask)} rows, table has {self._length}")
-        return mask
-
-    def filter(self, predicate: FilterArg) -> "Table":
-        """Rows for which the predicate holds."""
-        mask = self._resolve_mask(predicate)
         return Table({n: Column(c.values[mask]) for n, c in self._columns.items()})
 
     def take(self, indices: Union[np.ndarray, Sequence[int]]) -> "Table":
@@ -131,10 +124,8 @@ class Table:
     def head(self, n: int = 10) -> "Table":
         return self.take(np.arange(min(n, self._length)))
 
-    def with_column(self, name: str, values: Union[Expr, Column, Sequence, np.ndarray]) -> "Table":
+    def with_column(self, name: str, values: Union[Column, Sequence, np.ndarray]) -> "Table":
         """Return a copy with ``name`` added (or replaced)."""
-        if isinstance(values, Expr):
-            values = Column(values.evaluate(self))
         column = values if isinstance(values, Column) else Column(values)
         if len(column) != self._length:
             raise SchemaError(

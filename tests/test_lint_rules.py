@@ -1,9 +1,10 @@
-"""Per-rule fixtures for RPR002-RPR007: true positive, suppression, clean.
+"""Per-rule fixtures for RPR002 and RPR004-RPR007: true positive,
+suppression, clean.
 
 Each rule's positive fixture is the bug class the rule exists to catch —
 code that parses, imports, and passes casual runtime tests, but violates
-a repo invariant (nondeterminism, pickle failure under workers>1,
-swallowed errors, silent unit assumptions).
+a repo invariant (nondeterminism, swallowed errors, silent unit
+assumptions).
 """
 
 import textwrap
@@ -82,83 +83,6 @@ def test_rpr002_suppression():
             return time.time()  # repro: noqa[RPR002]
     """
     assert lint(source, SIM_PATH, "RPR002") == []
-
-
-# -- RPR003: fork safety ----------------------------------------------------
-
-def test_rpr003_flags_lambdas():
-    source = """\
-        def total_rows(scan):
-            return scan.map_reduce(lambda c: len(c), lambda a, b: a + b)
-    """
-    violations = lint(source, ANALYSIS_PATH, "RPR003")
-    assert len(violations) == 2
-    assert all("lambda" in v.message for v in violations)
-    assert all("map_reduce" in v.message for v in violations)
-
-
-def test_rpr003_flags_nested_functions():
-    source = """\
-        def total_rows(scan):
-            def count(chunk):
-                return len(chunk)
-            return scan.map_reduce(count, _add)
-    """
-    violations = lint(source, ANALYSIS_PATH, "RPR003")
-    assert len(violations) == 1
-    assert "closure" in violations[0].message
-    assert "'count'" in violations[0].message
-
-
-def test_rpr003_flags_bound_methods_and_keyword_args():
-    source = """\
-        class Runner:
-            def go(self, scan):
-                return scan.map_reduce(self.mapper, reduce_fn=self.reducer)
-    """
-    violations = lint(source, ANALYSIS_PATH, "RPR003")
-    assert len(violations) == 2
-    assert all("bound method" in v.message for v in violations)
-
-
-def test_rpr003_allows_module_level_functions_and_partial():
-    source = """\
-        from functools import partial
-
-        import numpy as np
-
-        def count(chunk):
-            return len(chunk)
-
-        def scaled(chunk, factor):
-            return len(chunk) * factor
-
-        def run(scan):
-            a = scan.map_reduce(count, np.add)
-            b = scan.map_reduce(partial(scaled, factor=2), count)
-            return a, b
-    """
-    assert lint(source, ANALYSIS_PATH, "RPR003") == []
-
-
-def test_rpr003_flags_lambda_inside_partial():
-    source = """\
-        from functools import partial
-
-        def run(scan):
-            return scan.map_reduce(partial(lambda c, k: len(c), k=1), _add)
-    """
-    violations = lint(source, ANALYSIS_PATH, "RPR003")
-    assert len(violations) == 1
-    assert "lambda" in violations[0].message
-
-
-def test_rpr003_suppression():
-    source = """\
-        def run(scan):  # serial-only path, never workers>1
-            return scan.map_reduce(lambda c: len(c), _add)  # repro: noqa[RPR003]
-    """
-    assert lint(source, ANALYSIS_PATH, "RPR003") == []
 
 
 # -- RPR004: exception hygiene ----------------------------------------------

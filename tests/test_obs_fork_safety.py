@@ -19,17 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.store import open_store, write_store
-from repro.table.table import Table
-
-
-def _count_rows(table: Table) -> int:
-    """Module-level map_fn (must be picklable by name — RPR003)."""
-    return len(table)
-
-
-def _add(a: int, b: int) -> int:
-    return a + b
+from repro.store import Agg, open_store, write_store
 
 
 @pytest.fixture(scope="module")
@@ -46,20 +36,22 @@ WORK_COUNTERS = ("store.scans", "store.chunks_total", "store.chunks_skipped",
                  "store.rows_matched", "store.chunks_read", "store.bytes_read")
 
 
-def _map_reduce_run(store_dir, workers):
-    """One instrumented map_reduce over instance_usage; returns
-    (row total, counters, span structure)."""
+def _aggregate_run(store_dir, workers):
+    """One instrumented aggregate over instance_usage; returns
+    (result, counters, span structure).  A sum, not a count: an
+    unfiltered count is answered from the manifest without reading any
+    chunk, which would leave nothing to fan out."""
     store = open_store(store_dir)
     with obs.scoped_registry() as registry:
-        total = store.scan("instance_usage").map_reduce(
-            _count_rows, _add, workers=workers)
+        result = store.scan("instance_usage").aggregate(
+            Agg("sum", "duration"), workers=workers)
         snapshot = registry.snapshot()
-    return total, snapshot.counters, snapshot.span_structure()
+    return result, snapshot.counters, snapshot.span_structure()
 
 
 def test_parallel_counters_match_serial(store_dir):
-    total_serial, serial, structure_serial = _map_reduce_run(store_dir, None)
-    total_parallel, parallel, structure_parallel = _map_reduce_run(store_dir, 2)
+    total_serial, serial, structure_serial = _aggregate_run(store_dir, None)
+    total_parallel, parallel, structure_parallel = _aggregate_run(store_dir, 2)
 
     assert total_parallel == total_serial
     for name in WORK_COUNTERS:
@@ -77,7 +69,7 @@ def test_chunk_work_counted_exactly_once(store_dir):
     n_chunks = len(store.scan("instance_usage").surviving_chunks())
     assert n_chunks > 1  # the parallel path needs real fan-out
 
-    _, counters, structure = _map_reduce_run(store_dir, 2)
+    _, counters, structure = _aggregate_run(store_dir, 2)
     assert counters["store.chunks_read"] == n_chunks
     assert counters["store.chunks_decoded"] == n_chunks
     assert counters["store.scans"] == 1
@@ -105,13 +97,13 @@ def test_traced_chunk_task_snapshot_is_the_task_delta(store_dir):
     chunk = scan.surviving_chunks()[0]
     task = (str(store.chunk_path(chunk["file"])),
             tuple(store.manifest.column_names("instance_usage")),
-            None, (), _count_rows)
+            None, (), (Agg("count"),))
 
     obs.inc("store.chunks_read", 1000)  # pre-existing parent state
     before = obs.snapshot().counters["store.chunks_read"]
     (payload, rows_decoded, rows_matched), snapshot = traced_chunk_task(task)
 
-    assert payload == rows_decoded == rows_matched == chunk["rows"]
+    assert payload["count"] == rows_decoded == rows_matched == chunk["rows"]
     # The snapshot is exactly this one task's work...
     assert snapshot.counters["store.chunks_read"] == 1
     assert snapshot.span_structure() == ("root", 0, (("store.chunk", 1, ()),))

@@ -177,7 +177,6 @@ class TestTableProperties:
                     min_size=1, max_size=50))
     def test_filter_complement(self, values):
         t = Table({"x": values})
-        from repro.table import col
-        above = t.filter(col("x") > 0)
-        below = t.filter(~(col("x") > 0))
+        above = t.filter(t["x"] > 0)
+        below = t.filter(~(t["x"] > 0))
         assert len(above) + len(below) == len(t)

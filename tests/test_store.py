@@ -1,27 +1,28 @@
 """Tests for repro.store: chunk format, manifest statistics, predicate
 pushdown, the parallel executor, the chunk cache, and end-to-end
-integration with the trace layer and the store-aware analysis reducers."""
+integration with the trace layer and the analysis reducers."""
 
 import io
 import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.analysis.common import (
     alloc_set_ids,
-    alloc_set_ids_store,
-    average_tier_fractions,
-    average_tier_fractions_store,
     hourly_tier_series,
-    hourly_tier_series_store,
     job_usage_integrals,
-    job_usage_integrals_store,
 )
 from repro.store import (
+    DEFAULT_CLUSTER_BY,
     Agg,
     And,
     Between,
@@ -42,6 +43,7 @@ from repro.store import (
 from repro.table import Table
 from repro.trace import load_trace, save_trace
 from repro.trace.dataset import SCHEMA_2019, TraceDataset
+from repro.trace.schema import TIME_COLUMNS
 from repro.util.errors import SchemaError
 
 
@@ -312,6 +314,25 @@ class TestWriterReader:
         assert sorted(back.column("avg_cpu").values.tolist()) == \
             sorted(shuffled.column("avg_cpu").values.tolist())
 
+    def test_default_clustering_matches_schema_time_columns(self):
+        # The store restates the time-column rule so it need not import
+        # the trace layer; it must still agree with the canonical schema.
+        for name, columns in SCHEMA_2019.items():
+            key = next((c for c in DEFAULT_CLUSTER_BY if c in columns), None)
+            assert key == TIME_COLUMNS.get(name), name
+
+    def test_store_package_imports_no_trace_module(self):
+        # A fresh interpreter, so modules other tests imported don't count.
+        code = ("import sys, repro.store; "
+                "print(sorted(m for m in sys.modules "
+                "if m == 'repro.trace' or m.startswith('repro.trace.')))")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
+
     def test_empty_tables_have_no_chunks_but_keep_schema(self, store_dir):
         path, _ = store_dir
         store = open_store(path)
@@ -447,21 +468,6 @@ class TestScan:
         assert len(got) == 0
         assert got.column_names == ["avg_cpu", "tier"]
         assert got.column("tier").kind == "str"
-
-    def test_map_reduce_payloads(self, store_dir):
-        path, ds = store_dir
-        store = open_store(path)
-        scan = store.scan("instance_usage").select("avg_cpu")
-        total = scan.map_reduce(_chunk_cpu_sum, _add)
-        assert total == pytest.approx(ds.instance_usage.column("avg_cpu").values.sum())
-
-
-def _chunk_cpu_sum(table):
-    return float(table.column("avg_cpu").values.sum())
-
-
-def _add(a, b):
-    return a + b
 
 
 class TestExecutor:
@@ -623,17 +629,15 @@ class TestTraceIoIntegration:
             load_trace(tmp_path)
 
 
-class TestStoreAwareAnalysis:
-    @pytest.fixture(scope="class")
-    def stored_trace(self, trace_2019, tmp_path_factory):
-        path = tmp_path_factory.mktemp("analysis") / "s"
-        save_trace(trace_2019, path, format="store", chunk_rows=512)
-        return open_store(path)
+class TestStoreBackedAnalysis:
+    """The analyses run unchanged on the lazy store-backed dataset."""
 
-    @pytest.mark.parametrize("workers", [None, 2])
-    def test_job_usage_integrals(self, trace_2019, stored_trace, workers):
+    def test_reducers_match_in_memory_trace(self, trace_2019, tmp_path):
+        save_trace(trace_2019, tmp_path / "s", format="store", chunk_rows=512)
+        lazy = load_trace(tmp_path / "s")
+
         expected = job_usage_integrals(trace_2019)
-        got = job_usage_integrals_store(stored_trace, workers=workers)
+        got = job_usage_integrals(lazy)
         assert got.column_names == expected.column_names
         for c in expected.column_names:
             if expected.column(c).kind == "str":
@@ -642,23 +646,14 @@ class TestStoreAwareAnalysis:
                 np.testing.assert_allclose(
                     got.column(c).values.astype(float),
                     expected.column(c).values.astype(float), err_msg=c)
-
-    @pytest.mark.parametrize("quantity", ["usage", "allocation"])
-    def test_hourly_tier_series(self, trace_2019, stored_trace, quantity):
-        expected = hourly_tier_series(trace_2019, "cpu", quantity)
-        got = hourly_tier_series_store(stored_trace, "cpu", quantity)
-        assert set(got) == set(expected)
-        for tier in expected:
-            np.testing.assert_allclose(got[tier], expected[tier], err_msg=tier)
-
-    def test_average_tier_fractions(self, trace_2019, stored_trace):
-        expected = average_tier_fractions(trace_2019, "mem")
-        got = average_tier_fractions_store(stored_trace, "mem")
-        for tier in expected:
-            assert got[tier] == pytest.approx(expected[tier])
-
-    def test_alloc_set_ids(self, trace_2019, stored_trace):
-        assert alloc_set_ids_store(stored_trace) == alloc_set_ids(trace_2019)
+        for quantity in ("usage", "allocation"):
+            expected_series = hourly_tier_series(trace_2019, "cpu", quantity)
+            got_series = hourly_tier_series(lazy, "cpu", quantity)
+            assert set(got_series) == set(expected_series)
+            for tier in expected_series:
+                np.testing.assert_allclose(got_series[tier], expected_series[tier],
+                                           err_msg=f"{quantity}/{tier}")
+        assert alloc_set_ids(lazy) == alloc_set_ids(trace_2019)
 
 
 # -- property test: exact value + dtype preservation --------------------------

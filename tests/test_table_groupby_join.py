@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.table import Table, col
+from repro.table import Table
 from repro.util.errors import SchemaError
 
 

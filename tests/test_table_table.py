@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.table import Table, col, concat
+from repro.table import Table, concat
 from repro.util.errors import SchemaError
 
 
@@ -89,7 +89,7 @@ class TestOperators:
         assert "ncu" in t and "cpu" not in t
 
     def test_filter_expr(self, table):
-        t = table.filter(col("tier") == "beb")
+        t = table.filter(table["tier"] == "beb")
         assert len(t) == 2
         assert t.column("cpu").to_list() == [0.1, 0.2]
 
@@ -106,7 +106,7 @@ class TestOperators:
             table.filter(np.array([1, 2, 3, 4]))
 
     def test_compound_predicate(self, table):
-        t = table.filter((col("tier") == "beb") & (col("cpu") > 0.15))
+        t = table.filter((table["tier"] == "beb") & (table["cpu"] > 0.15))
         assert len(t) == 1
 
     def test_take_and_head(self, table):
@@ -114,7 +114,7 @@ class TestOperators:
         assert len(table.head(2)) == 2
 
     def test_with_column_from_expr(self, table):
-        t = table.with_column("double", col("cpu") * 2)
+        t = table.with_column("double", table["cpu"] * 2)
         assert t.column("double").to_list() == [1.0, 0.2, 0.4, 0.1]
 
     def test_with_column_replaces(self, table):
