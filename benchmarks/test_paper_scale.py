@@ -41,4 +41,4 @@ def test_paper_week_baseline(benchmark):
 
     result = benchmark.pedantic(lambda sc: sc.run(), setup=setup,
                                 rounds=1, iterations=1, warmup_rounds=0)
-    assert len(result.events.instance_events) == EXPECTED_EVENTS
+    assert len(result.events.instance_events["time"]) == EXPECTED_EVENTS

@@ -11,8 +11,9 @@ behavior) and the per-user clustering literature:
   the distribution of failure-to-resubmission delays and the chain
   structure (attempts, depths, per-user concentration).  These consume
   :class:`~repro.sim.cell.CellResult` objects: resubmission provenance
-  lives in the simulator's :class:`~repro.sim.events.ResubmitEvent`
-  side stream, deliberately *not* a trace table — the real traces do
+  lives in the simulator's ``resubmit_events`` side stream (the
+  :class:`~repro.sim.events.ResubmitEvent` fields as columns),
+  deliberately *not* a trace table — the real traces do
   not label resubmissions either (chains must be inferred there), so
   the trace schema stays faithful.
 * :func:`archetype_usage_shares` — NCU-hours share per user archetype,
@@ -93,10 +94,8 @@ def failure_rates_by_tier(traces: Sequence[TraceDataset]
 @obs.traced("analysis.resubmission_intervals")
 def resubmission_intervals(results: Sequence[CellResult]) -> np.ndarray:
     """Every resubmission's backoff delay (seconds), pooled across cells."""
-    delays = [event.delay
-              for result in results
-              for event in result.events.resubmit_events]
-    return np.asarray(delays, dtype=float)
+    return np.concatenate([result.events.resubmit_events["delay"]
+                           for result in results] or [np.empty(0)])
 
 
 def resubmission_interval_ccdf(results: Sequence[CellResult]) -> Ccdf:
@@ -116,12 +115,15 @@ def resubmission_report(results: Sequence[CellResult]) -> dict:
     per_user: Dict[str, int] = {}
     per_tier: Dict[str, int] = {}
     for result in results:
-        for event in result.events.resubmit_events:
-            attempts[event.attempt] = attempts.get(event.attempt, 0) + 1
-            root = event.root_collection_id
-            chain_depth[root] = max(chain_depth.get(root, 0), event.attempt)
-            per_user[event.user] = per_user.get(event.user, 0) + 1
-            per_tier[event.tier] = per_tier.get(event.tier, 0) + 1
+        stream = result.events.resubmit_events
+        for attempt, root, user, tier in zip(
+                stream["attempt"].tolist(),
+                stream["root_collection_id"].tolist(),
+                stream["user"], stream["tier"]):
+            attempts[attempt] = attempts.get(attempt, 0) + 1
+            chain_depth[root] = max(chain_depth.get(root, 0), attempt)
+            per_user[user] = per_user.get(user, 0) + 1
+            per_tier[tier] = per_tier.get(tier, 0) + 1
     total = sum(attempts.values())
     top_users = sorted(per_user.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
     return {

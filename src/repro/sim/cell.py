@@ -4,8 +4,10 @@
 times, shapes, planned outcomes) and plays it against a machine fleet:
 batch-queue admission, round-based scheduling with preemption, task
 restarts, machine maintenance, dependency cascade kills, and usage
-sampling.  The output is a :class:`CellResult` holding the event log,
-the usage-sample arrays, and the final collection states.
+sampling.  The output is a :class:`CellResult` of plain columnar data:
+the frozen event log, the usage-sample arrays and the counters.  The
+final collection states stay on the simulator
+(:attr:`CellSim.collections`).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from repro.sim.entities import (
     InstanceState,
     SchedulerKind,
 )
-from repro.sim.events import EventLog, EventType
+from repro.sim.events import EventColumns, EventLog, EventType
 from repro.sim.fleet import FleetState
 from repro.sim.machine import Machine
 from repro.sim.priority import Tier
@@ -128,12 +130,15 @@ class SimCounters:
 
 @dataclass
 class CellResult:
-    """Everything a trace encoder or analysis needs from one cell run."""
+    """Everything a trace encoder or analysis needs from one cell run.
+
+    Columnar by design: no collection or instance objects and no event
+    records, so a worker process pickles it as array buffers.
+    """
 
     config: CellConfig
     machines: List[Machine]
-    collections: List[Collection]
-    events: EventLog
+    events: EventColumns
     usage: Dict[str, np.ndarray]
     counters: SimCounters
 
@@ -283,6 +288,11 @@ class CellSim:
             if config.restart_rate_per_hour > 0 else 0.0
         )
 
+    @property
+    def collections(self) -> List[Collection]:
+        """Every submitted collection, live or finished, in submit order."""
+        return list(self._collections.values())
+
     # ------------------------------------------------------------------ setup
 
     def _push(self, time: float, kind: str, payload: object) -> None:
@@ -411,11 +421,12 @@ class CellSim:
             # closing state; the horizon frame carries the full exported
             # cell counters.
             recorder.finish(horizon)
+        with obs.span("sim.freeze_events"):
+            events = self.events.freeze()
         return CellResult(
             config=self.config,
             machines=self.machines,
-            collections=list(self._collections.values()),
-            events=self.events,
+            events=events,
             usage=usage,
             counters=self.counters,
         )

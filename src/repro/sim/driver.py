@@ -14,6 +14,12 @@ span trees therefore agree between ``workers=1`` and ``workers=N`` —
 and so do the simulated traces themselves, because each cell's RNG is
 derived only from its scenario seed (see the driver determinism test).
 
+Results need no wire format of their own.  A
+:class:`~repro.sim.cell.CellResult` is columnar data (the event log is
+frozen into typed arrays when the run ends), so a worker pickles it as
+array buffers and the parent gets back the same shape a serial run
+returns.
+
 Flight recording (``record=``) extends the same pattern: when a
 :class:`~repro.obs.recorder.RunRecorder` is given, *every* cell —
 serial or pooled — runs inside a fresh scoped registry, so the frames

@@ -5,12 +5,23 @@ SCHEDULE, EVICT, FAIL, FINISH, KILL, UPDATE_RUNNING (limit changes by
 Autopilot), plus machine ADD/REMOVE events.  Collection events and
 instance events are recorded in separate streams, exactly as the trace
 separates ``collection_events`` and ``instance_events`` tables.
+
+:class:`EventLog` is the in-run recorder: cheap NamedTuple appends on
+the hot path.  When a run ends, :meth:`EventLog.freeze` turns it into
+:class:`EventColumns`, one typed array per field, which is what a
+:class:`~repro.sim.cell.CellResult` carries: pickling it to a parent
+process is a buffer copy, and the trace encoder wraps the arrays as
+they are.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import List, NamedTuple, Optional
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Dict, List, NamedTuple, Optional, Sequence, get_type_hints
+
+import numpy as np
 
 _tuple_new = tuple.__new__
 
@@ -35,8 +46,6 @@ class EventType(enum.Enum):
 TERMINAL_EVENTS = frozenset(
     {EventType.EVICT, EventType.FAIL, EventType.FINISH, EventType.KILL}
 )
-
-
 
 
 # The event records are NamedTuples rather than frozen dataclasses:
@@ -217,3 +226,56 @@ class EventLog:
     def __len__(self) -> int:
         return (len(self.collection_events) + len(self.instance_events)
                 + len(self.machine_events) + len(self.resubmit_events))
+
+    def freeze(self) -> EventColumns:
+        """The log as typed columns: one dict of arrays per stream."""
+        return EventColumns(
+            collection_events=_freeze(CollectionEvent, self.collection_events),
+            instance_events=_freeze(InstanceEvent, self.instance_events),
+            machine_events=_freeze(MachineEvent, self.machine_events),
+            resubmit_events=_freeze(ResubmitEvent, self.resubmit_events),
+        )
+
+
+#: Array dtype of each record field type.  An ``EventType`` field is
+#: stored as its value string.
+_DTYPES = {float: np.float64, int: np.int64, bool: np.bool_,
+           str: object, EventType: object}
+_event_value = attrgetter("_value_")
+
+
+def _freeze(record_type, records: Sequence[tuple]) -> Dict[str, np.ndarray]:
+    """Transpose ``records`` into ``{field: array}`` of ``record_type``.
+
+    String columns are object arrays of the records' own ``str`` objects:
+    ``np.fromiter`` never goes through a fixed-width ``<U`` array, which
+    would box every element back as ``numpy.str_``.
+    """
+    n = len(records)
+    fields = record_type._fields
+    columns = zip(*records) if n else [()] * len(fields)
+    out: Dict[str, np.ndarray] = {}
+    hints = get_type_hints(record_type)
+    for name, values in zip(fields, columns):
+        if hints[name] is EventType:
+            values = map(_event_value, values)
+        out[name] = np.fromiter(values, dtype=_DTYPES[hints[name]], count=n)
+    return out
+
+
+@dataclass(frozen=True)
+class EventColumns:
+    """A finished run's event log as columns.
+
+    Each stream maps the field names of its record type (``time``,
+    ``collection_id``, ``event``, ...) to equal-length arrays: float64,
+    int64 and bool for numbers, object arrays of ``str`` for strings and
+    for the event kind (``EventType`` values, e.g. ``"SCHEDULE"``).  Row
+    *i* of a stream is record *i* of the :class:`EventLog` it was frozen
+    from.
+    """
+
+    collection_events: Dict[str, np.ndarray]
+    instance_events: Dict[str, np.ndarray]
+    machine_events: Dict[str, np.ndarray]
+    resubmit_events: Dict[str, np.ndarray]

@@ -27,6 +27,10 @@ _KINDS = KINDS
 
 def _coerce(values: Any) -> np.ndarray:
     """Normalize arbitrary input into one of the four supported dtypes."""
+    sequence = isinstance(values, (list, tuple))
+    if sequence and values and isinstance(values[0], str):
+        # Skip np.asarray: it would build a fixed-width ``<U`` array.
+        return _string_array(values)
     arr = np.asarray(values)
     if arr.ndim == 0:
         arr = arr.reshape(1)
@@ -42,16 +46,30 @@ def _coerce(values: Any) -> np.ndarray:
     if np.issubdtype(arr.dtype, np.floating):
         return arr.astype(np.float64, copy=False)
     # Everything else (strings, mixed python objects) is stored as objects;
-    # require all elements to be strings for predictable semantics.
-    out = np.empty(len(arr), dtype=object)
-    for i, v in enumerate(arr):
+    # require all elements to be strings for predictable semantics.  An
+    # object array is kept as-is, like the numeric kinds above.  Any other
+    # array is read from the input's own elements: a ``<U`` array's come
+    # back as ``numpy.str_``, and np.asarray turns a number in a mixed
+    # sequence into a string.
+    if arr.dtype == object:
+        _check_strings(arr)
+        return arr
+    return _string_array(values if sequence else arr.tolist())
+
+
+def _check_strings(items: Iterable) -> None:
+    for v in items:
         if not isinstance(v, str):
             raise SchemaError(
                 f"unsupported column element {v!r} of type {type(v).__name__}; "
                 "columns hold floats, ints, bools, or strings"
             )
-        out[i] = v
-    return out
+
+
+def _string_array(items: Sequence) -> np.ndarray:
+    """An object array holding ``items``, which must all be ``str``."""
+    _check_strings(items)
+    return np.fromiter(items, dtype=object, count=len(items))
 
 
 class Column:

@@ -26,39 +26,47 @@ def _build(name: str, values: dict) -> Table:
     return table
 
 
-def _collection_events_table(result: CellResult) -> Table:
-    events = result.events.collection_events
-    return _build("collection_events", {
-        "time": [e.time for e in events],
-        "collection_id": [e.collection_id for e in events],
-        "type": [e.event.value for e in events],
-        "collection_type": [e.collection_type for e in events],
-        "priority": [e.priority for e in events],
-        "tier": [e.tier for e in events],
-        "user": [e.user for e in events],
-        "scheduler": [e.scheduler for e in events],
-        "parent_collection_id": [e.parent_id for e in events],
-        "alloc_collection_id": [e.alloc_collection_id for e in events],
-        "vertical_scaling": [e.autopilot_mode for e in events],
-        "constraint": [e.constraint for e in events],
-        "num_instances": [e.num_instances for e in events],
-    })
+#: Schema column -> simulator field, per event stream.  The event tables
+#: are the frozen :class:`~repro.sim.events.EventColumns` arrays renamed.
+_COLLECTION_EVENT_FIELDS = {
+    "time": "time",
+    "collection_id": "collection_id",
+    "type": "event",
+    "collection_type": "collection_type",
+    "priority": "priority",
+    "tier": "tier",
+    "user": "user",
+    "scheduler": "scheduler",
+    "parent_collection_id": "parent_id",
+    "alloc_collection_id": "alloc_collection_id",
+    "vertical_scaling": "autopilot_mode",
+    "constraint": "constraint",
+    "num_instances": "num_instances",
+}
+_INSTANCE_EVENT_FIELDS = {
+    "time": "time",
+    "collection_id": "collection_id",
+    "instance_index": "instance_index",
+    "type": "event",
+    "machine_id": "machine_id",
+    "priority": "priority",
+    "tier": "tier",
+    "resource_request_cpu": "cpu_request",
+    "resource_request_mem": "mem_request",
+    "is_new": "is_new",
+}
+_MACHINE_EVENT_FIELDS = {
+    "time": "time",
+    "machine_id": "machine_id",
+    "type": "event",
+    "cpu_capacity": "cpu_capacity",
+    "mem_capacity": "mem_capacity",
+}
 
 
-def _instance_events_table(result: CellResult) -> Table:
-    events = result.events.instance_events
-    return _build("instance_events", {
-        "time": [e.time for e in events],
-        "collection_id": [e.collection_id for e in events],
-        "instance_index": [e.instance_index for e in events],
-        "type": [e.event.value for e in events],
-        "machine_id": [e.machine_id for e in events],
-        "priority": [e.priority for e in events],
-        "tier": [e.tier for e in events],
-        "resource_request_cpu": [e.cpu_request for e in events],
-        "resource_request_mem": [e.mem_request for e in events],
-        "is_new": [e.is_new for e in events],
-    })
+def _events_table(name: str, stream: dict, fields: dict) -> Table:
+    return _build(name, {column: Column(stream[field])
+                         for column, field in fields.items()})
 
 
 def _instance_usage_table(result: CellResult) -> Table:
@@ -88,17 +96,6 @@ def _instance_usage_table(result: CellResult) -> Table:
     })
 
 
-def _machine_events_table(result: CellResult) -> Table:
-    events = result.events.machine_events
-    return _build("machine_events", {
-        "time": [e.time for e in events],
-        "machine_id": [e.machine_id for e in events],
-        "type": [e.event for e in events],
-        "cpu_capacity": [e.cpu_capacity for e in events],
-        "mem_capacity": [e.mem_capacity for e in events],
-    })
-
-
 def _machine_attributes_table(result: CellResult) -> Table:
     machines = result.machines
     return _build("machine_attributes", {
@@ -117,11 +114,16 @@ def encode_cell(result: CellResult) -> TraceDataset:
     with the full schema, so downstream queries never special-case it.
     """
     capacity = result.capacity
+    events = result.events
     tables = {
-        "collection_events": _collection_events_table(result),
-        "instance_events": _instance_events_table(result),
+        "collection_events": _events_table(
+            "collection_events", events.collection_events,
+            _COLLECTION_EVENT_FIELDS),
+        "instance_events": _events_table(
+            "instance_events", events.instance_events, _INSTANCE_EVENT_FIELDS),
         "instance_usage": _instance_usage_table(result),
-        "machine_events": _machine_events_table(result),
+        "machine_events": _events_table(
+            "machine_events", events.machine_events, _MACHINE_EVENT_FIELDS),
         "machine_attributes": _machine_attributes_table(result),
     }
     return TraceDataset(

@@ -87,9 +87,14 @@ class CellScenario:
         simulator emits streaming flight-recorder frames on the
         recorder's simulated-time cadence.
         """
+        return self.simulator(recorder).run()
+
+    def simulator(self, recorder=None) -> CellSim:
+        """The cell's simulator, ready to :meth:`~CellSim.run`.  Keep it
+        to inspect end state (:attr:`CellSim.collections`) after the run."""
         rng = RngFactory(self.seed).child(f"sim-{self.name}")
         return CellSim(self.config, self.machines, self.workload, rng,
-                       recorder=recorder).run()
+                       recorder=recorder)
 
 
 def _scheduler_params(era: EraParams) -> SchedulerParams:

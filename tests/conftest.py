@@ -11,19 +11,31 @@ from __future__ import annotations
 import pytest
 
 from repro.trace import encode_cell
-from tests.trace_fixtures import FAULTY_SCALE, TEST_SCALE, build_result
+from tests.trace_fixtures import FAULTY_SCALE, TEST_SCALE, build_run
 
 
 @pytest.fixture(scope="session")
-def result_2019():
+def run_2019():
+    """One small 2019-era cell: ``(finished CellSim, CellResult)``."""
+    return build_run("2019", TEST_SCALE)
+
+
+@pytest.fixture(scope="session")
+def result_2019(run_2019):
     """One small 2019-era cell simulation result."""
-    return build_result("2019", TEST_SCALE)
+    return run_2019[1]
+
+
+@pytest.fixture(scope="session")
+def sim_2019(run_2019):
+    """The simulator that produced ``result_2019``, for end-state checks."""
+    return run_2019[0]
 
 
 @pytest.fixture(scope="session")
 def result_2011():
     """One small 2011-era cell simulation result."""
-    return build_result("2011", TEST_SCALE)
+    return build_run("2011", TEST_SCALE)[1]
 
 
 @pytest.fixture(scope="session")
@@ -44,7 +56,7 @@ def traces_2019(trace_2019):
 @pytest.fixture(scope="session")
 def result_2019_faulty():
     """The failure-heavy 2019 cell: heavy faults + mixed archetypes."""
-    return build_result("2019", FAULTY_SCALE)
+    return build_run("2019", FAULTY_SCALE)[1]
 
 
 @pytest.fixture(scope="session")

@@ -78,10 +78,12 @@ class TestCellConstraints:
 
     def test_constrained_tasks_land_on_required_platform(self):
         result = self._run()
+        ie = result.events.instance_events
         placements = {}
-        for e in result.events.instance_events:
-            if e.event.value == "SCHEDULE":
-                placements[e.collection_id] = e.machine_id
+        for cid, event, machine_id in zip(ie["collection_id"].tolist(),
+                                          ie["event"], ie["machine_id"].tolist()):
+            if event == "SCHEDULE":
+                placements[cid] = machine_id
         assert placements[1] == 0  # platform A
         assert placements[2] == 1  # platform B
 

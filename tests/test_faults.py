@@ -7,6 +7,8 @@ machine outages evict and requeue work, resubmission chains respect the
 backoff policy and budgets, and a faults-off run is untouched.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -237,6 +239,13 @@ class TestArchetypes:
         assert min(ids) > 5_000_000
 
 
+def _rows(stream):
+    """A frozen event stream's rows, with field access by attribute."""
+    fields = list(stream)
+    return [SimpleNamespace(**dict(zip(fields, row)))
+            for row in zip(*(stream[f].tolist() for f in fields))]
+
+
 class TestSimIntegration:
     @pytest.fixture(scope="class")
     def faulty_result(self):
@@ -250,16 +259,15 @@ class TestSimIntegration:
         assert c.fault_events == 0
         assert c.fault_machine_outages == 0
         assert c.resubmissions == 0
-        assert not result.events.resubmit_events
+        assert len(result.events.resubmit_events["time"]) == 0
 
     def test_faults_inject_outages_and_recoveries(self, faulty_result):
         c = faulty_result.counters
         assert c.fault_events > 0
         assert c.fault_machine_outages > 0
-        removes = [e for e in faulty_result.events.machine_events
-                   if e.event == "REMOVE"]
-        adds = [e for e in faulty_result.events.machine_events
-                if e.event == "ADD" and e.time > 0]
+        machine_events = _rows(faulty_result.events.machine_events)
+        removes = [e for e in machine_events if e.event == "REMOVE"]
+        adds = [e for e in machine_events if e.event == "ADD" and e.time > 0]
         assert len(removes) == c.fault_machine_outages
         # Every outage inside the horizon recovers (ADD) after its
         # duration; the tail may still be down at the horizon.
@@ -270,7 +278,7 @@ class TestSimIntegration:
 
     def test_resubmission_chains_follow_policy(self, faulty_result):
         policy = FAULT_PROFILES["heavy"].resubmit
-        events = faulty_result.events.resubmit_events
+        events = _rows(faulty_result.events.resubmit_events)
         assert events
         chains = {}
         for e in events:
@@ -285,7 +293,7 @@ class TestSimIntegration:
                 assert e.root_collection_id == root
 
     def test_resubmitted_ids_are_fresh(self, faulty_result):
-        events = faulty_result.events.resubmit_events
+        events = _rows(faulty_result.events.resubmit_events)
         clone_ids = [e.collection_id for e in events]
         # Every clone gets a brand-new id: unique, never its
         # predecessor's, never an id from the original workload block.

@@ -76,13 +76,14 @@ def run(specs, fault_kwargs, policy_kwargs, seed):
                         faults=faults)
     machines = [Machine(i, Resources(1.0, 1.0)) for i in range(N_MACHINES)]
     sim = CellSim(config, machines, build_workload(specs), RngFactory(seed))
-    return sim.run()
+    sim.run()
+    return sim
 
 
-def _per_instance_events(result):
+def _per_instance_events(sim):
     """Instance events grouped per (collection_id, index), in log order."""
     grouped = {}
-    for event in result.events.instance_events:
+    for event in sim.events.instance_events:
         grouped.setdefault(
             (event.collection_id, event.instance_index), []).append(event)
     return grouped
@@ -93,8 +94,8 @@ def _per_instance_events(result):
        policy_strategy, st.integers(min_value=0, max_value=1000))
 def test_every_incarnation_ends_in_one_terminal_event(
         specs, fault_kwargs, policy_kwargs, seed):
-    result = run(specs, fault_kwargs, policy_kwargs, seed)
-    for key, events in _per_instance_events(result).items():
+    sim = run(specs, fault_kwargs, policy_kwargs, seed)
+    for key, events in _per_instance_events(sim).items():
         running = False
         queue_killed = False
         for event in events:
@@ -126,10 +127,10 @@ def test_every_incarnation_ends_in_one_terminal_event(
        policy_strategy, st.integers(min_value=0, max_value=1000))
 def test_no_schedule_on_a_down_machine(specs, fault_kwargs, policy_kwargs,
                                        seed):
-    result = run(specs, fault_kwargs, policy_kwargs, seed)
+    sim = run(specs, fault_kwargs, policy_kwargs, seed)
     down_intervals = {i: [] for i in range(N_MACHINES)}
     down_since = {}
-    for event in result.events.machine_events:
+    for event in sim.events.machine_events:
         if event.event == "REMOVE":
             down_since[event.machine_id] = event.time
         elif event.event == "ADD" and event.machine_id in down_since:
@@ -137,7 +138,7 @@ def test_no_schedule_on_a_down_machine(specs, fault_kwargs, policy_kwargs,
                 (down_since.pop(event.machine_id), event.time))
     for machine_id, start in down_since.items():
         down_intervals[machine_id].append((start, float("inf")))
-    for event in result.events.instance_events:
+    for event in sim.events.instance_events:
         if event.event.value != "SCHEDULE" or event.machine_id < 0:
             continue
         for start, end in down_intervals[event.machine_id]:
@@ -151,10 +152,10 @@ def test_no_schedule_on_a_down_machine(specs, fault_kwargs, policy_kwargs,
        policy_strategy, st.integers(min_value=0, max_value=1000))
 def test_allocation_replay_never_negative(specs, fault_kwargs,
                                           policy_kwargs, seed):
-    result = run(specs, fault_kwargs, policy_kwargs, seed)
+    sim = run(specs, fault_kwargs, policy_kwargs, seed)
     alloc_cpu = {i: 0.0 for i in range(N_MACHINES)}
     placed_on = {}
-    for event in result.events.instance_events:
+    for event in sim.events.instance_events:
         key = (event.collection_id, event.instance_index)
         if event.event.value == "SCHEDULE" and event.machine_id >= 0:
             alloc_cpu[event.machine_id] += event.cpu_request
@@ -172,7 +173,7 @@ def test_allocation_replay_never_negative(specs, fault_kwargs,
     # during finalization, so compare against instance state).
     still_running = {
         (c.collection_id, i.index): i.request.cpu
-        for c in result.collections for i in c.instances
+        for c in sim.collections for i in c.instances
         if i.state is InstanceState.RUNNING}
     assert set(placed_on) == set(still_running)
     residual = sum(alloc_cpu.values())
@@ -184,10 +185,10 @@ def test_allocation_replay_never_negative(specs, fault_kwargs,
        policy_strategy, st.integers(min_value=0, max_value=1000))
 def test_backoff_delays_strictly_increase_to_cap(specs, fault_kwargs,
                                                  policy_kwargs, seed):
-    result = run(specs, fault_kwargs, policy_kwargs, seed)
+    sim = run(specs, fault_kwargs, policy_kwargs, seed)
     cap = policy_kwargs["max_delay"]
     chains = {}
-    for event in result.events.resubmit_events:
+    for event in sim.events.resubmit_events:
         chains.setdefault(event.root_collection_id, []).append(event)
     for chain in chains.values():
         chain.sort(key=lambda e: e.attempt)

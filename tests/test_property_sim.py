@@ -77,14 +77,14 @@ def run(specs, seed):
     )
     machines = [Machine(i, Resources(1.0, 1.0)) for i in range(3)]
     sim = CellSim(config, machines, build_workload(specs), RngFactory(seed))
-    return sim.run()
+    return sim, sim.run()
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(job_strategy, min_size=1, max_size=12),
        st.integers(min_value=0, max_value=100))
 def test_any_workload_yields_valid_trace(specs, seed):
-    result = run(specs, seed)
+    _, result = run(specs, seed)
     trace = encode_cell(result)
     assert validate_trace(trace) == []
 
@@ -93,13 +93,13 @@ def test_any_workload_yields_valid_trace(specs, seed):
 @given(st.lists(job_strategy, min_size=1, max_size=12),
        st.integers(min_value=0, max_value=100))
 def test_engine_accounting_identities(specs, seed):
-    result = run(specs, seed)
+    sim, result = run(specs, seed)
     # Counters match the event log.
-    schedules = sum(1 for e in result.events.instance_events
-                    if e.event.value == "SCHEDULE")
+    schedules = int((result.events.instance_events["event"]
+                     == "SCHEDULE").sum())
     assert schedules == result.counters.schedule_events
     # Every dead instance's collection is done, with a matching reason.
-    for collection in result.collections:
+    for collection in sim.collections:
         if collection.is_done:
             for inst in collection.instances:
                 assert inst.end_reason == collection.end_reason
@@ -118,7 +118,8 @@ def test_engine_accounting_identities(specs, seed):
 @given(st.lists(job_strategy, min_size=1, max_size=8),
        st.integers(min_value=0, max_value=50))
 def test_determinism_property(specs, seed):
-    a = run(specs, seed)
-    b = run(specs, seed)
-    assert len(a.events.instance_events) == len(b.events.instance_events)
+    _, a = run(specs, seed)
+    _, b = run(specs, seed)
+    assert len(a.events.instance_events["time"]) == \
+        len(b.events.instance_events["time"])
     np.testing.assert_array_equal(a.usage["avg_cpu"], b.usage["avg_cpu"])

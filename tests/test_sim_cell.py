@@ -50,64 +50,65 @@ def run_cell(workload, machines=None, config=None, seed=0):
     config = config or make_config()
     machines = machines or [Machine(i, Resources(1.0, 1.0)) for i in range(4)]
     sim = CellSim(config, machines, workload, RngFactory(seed))
-    return sim.run()
+    return sim, sim.run()
 
 
-def events_of(result, cid, stream="collection"):
+def events_of(sim, cid, stream="collection"):
+    """The live event records of collection ``cid`` from a finished run."""
     if stream == "collection":
-        return [e for e in result.events.collection_events if e.collection_id == cid]
-    return [e for e in result.events.instance_events if e.collection_id == cid]
+        return [e for e in sim.events.collection_events if e.collection_id == cid]
+    return [e for e in sim.events.instance_events if e.collection_id == cid]
 
 
 class TestBasicLifecycle:
     def test_job_runs_and_finishes(self):
-        result = run_cell([make_job(1, duration=1800.0)])
-        types = [e.event for e in events_of(result, 1)]
+        sim, result = run_cell([make_job(1, duration=1800.0)])
+        types = [e.event for e in events_of(sim, 1)]
         assert types == [EventType.SUBMIT, EventType.FINISH]
-        collection = result.collections[0]
+        collection = sim.collections[0]
         assert collection.end_reason is EndReason.FINISH
         assert collection.end_time == pytest.approx(
             collection.first_running_time + 1800.0)
 
     def test_instance_events_sequence(self):
-        result = run_cell([make_job(1)])
-        types = [e.event for e in events_of(result, 1, "instance")]
+        sim, result = run_cell([make_job(1)])
+        types = [e.event for e in events_of(sim, 1, "instance")]
         assert types == [EventType.SUBMIT, EventType.SCHEDULE, EventType.FINISH]
 
     def test_usage_samples_generated(self):
-        result = run_cell([make_job(1, duration=3600.0)])
+        sim, result = run_cell([make_job(1, duration=3600.0)])
         assert len(result.usage["window_start"]) >= 10  # 300s windows
         assert (result.usage["avg_cpu"] > 0).all()
 
     def test_usage_tier_codes(self):
-        result = run_cell([make_job(1, tier=Tier.PROD)])
+        sim, result = run_cell([make_job(1, tier=Tier.PROD)])
         assert set(result.usage["tier_code"].tolist()) == {TIER_CODES[Tier.PROD]}
 
     def test_scheduling_delay_within_round_interval(self):
-        result = run_cell([make_job(1, submit=100.0)])
-        c = result.collections[0]
+        sim, result = run_cell([make_job(1, submit=100.0)])
+        c = sim.collections[0]
         delay = c.scheduling_delay()
         assert 0 <= delay <= 2 * 5.0 + 1.0
 
     def test_planned_kill_and_fail(self):
-        result = run_cell([
+        sim, result = run_cell([
             make_job(1, end=EndReason.KILL),
             make_job(2, end=EndReason.FAIL),
         ])
-        reasons = {c.collection_id: c.end_reason for c in result.collections}
+        reasons = {c.collection_id: c.end_reason for c in sim.collections}
         assert reasons[1] is EndReason.KILL
         assert reasons[2] is EndReason.FAIL
 
     def test_censored_job_has_no_terminal_event(self):
-        result = run_cell([make_job(1, duration=999_999.0)])
-        types = [e.event for e in events_of(result, 1)]
+        sim, result = run_cell([make_job(1, duration=999_999.0)])
+        types = [e.event for e in events_of(sim, 1)]
         assert EventType.FINISH not in types
         # But its usage up to the horizon was recorded.
         assert result.usage["window_start"].max() < 4 * 3600.0
 
     def test_multi_task_job(self):
-        result = run_cell([make_job(1, n=5)])
-        schedules = [e for e in events_of(result, 1, "instance")
+        sim, result = run_cell([make_job(1, n=5)])
+        schedules = [e for e in events_of(sim, 1, "instance")
                      if e.event is EventType.SCHEDULE]
         assert len(schedules) == 5
         assert result.counters.tasks_created == 5
@@ -116,15 +117,15 @@ class TestBasicLifecycle:
 class TestBatchQueue:
     def test_beb_job_gets_queue_and_enable(self):
         job = make_job(1, tier=Tier.BEB, scheduler=SchedulerKind.BATCH)
-        result = run_cell([job])
-        types = [e.event for e in events_of(result, 1)]
+        sim, result = run_cell([job])
+        types = [e.event for e in events_of(sim, 1)]
         assert types[:3] == [EventType.SUBMIT, EventType.QUEUE, EventType.ENABLE]
 
     def test_no_batch_queue_in_2011(self):
         config = make_config(era="2011", batch_queueing=False)
         job = make_job(1, tier=Tier.BEB, scheduler=SchedulerKind.BATCH)
-        result = run_cell([job], config=config)
-        types = [e.event for e in events_of(result, 1)]
+        sim, result = run_cell([job], config=config)
+        types = [e.event for e in events_of(sim, 1)]
         assert EventType.QUEUE not in types
 
     def test_queue_throttles_second_job(self):
@@ -133,10 +134,10 @@ class TestBatchQueue:
                          n=20, cpu=0.105, mem=0.105, duration=3600.0)
         second = make_job(2, tier=Tier.BEB, scheduler=SchedulerKind.BATCH,
                           submit=60.0, n=4, cpu=0.1, mem=0.1)
-        result = run_cell([first, second])
-        enable_2 = [e for e in events_of(result, 2)
+        sim, result = run_cell([first, second])
+        enable_2 = [e for e in events_of(sim, 2)
                     if e.event is EventType.ENABLE][0]
-        end_1 = [e for e in events_of(result, 1) if e.event.is_terminal][0]
+        end_1 = [e for e in events_of(sim, 1) if e.event.is_terminal][0]
         assert enable_2.time >= end_1.time
 
 
@@ -144,10 +145,10 @@ class TestDependenciesInCell:
     def test_cascade_kill(self):
         parent = make_job(1, duration=1800.0, end=EndReason.FINISH)
         child = make_job(2, submit=10.0, duration=999_999.0, parent=1)
-        result = run_cell([parent, child])
-        reasons = {c.collection_id: c.end_reason for c in result.collections}
+        sim, result = run_cell([parent, child])
+        reasons = {c.collection_id: c.end_reason for c in sim.collections}
         assert reasons[2] is EndReason.KILL
-        ends = {c.collection_id: c.end_time for c in result.collections}
+        ends = {c.collection_id: c.end_time for c in sim.collections}
         assert ends[2] == pytest.approx(ends[1])
         assert result.counters.cascade_kills == 1
 
@@ -155,8 +156,8 @@ class TestDependenciesInCell:
         parent = make_job(1, duration=7000.0)
         child = make_job(2, submit=10.0, duration=600.0, parent=1,
                          end=EndReason.FINISH)
-        result = run_cell([parent, child])
-        reasons = {c.collection_id: c.end_reason for c in result.collections}
+        sim, result = run_cell([parent, child])
+        reasons = {c.collection_id: c.end_reason for c in sim.collections}
         assert reasons[2] is EndReason.FINISH
 
 
@@ -169,13 +170,13 @@ class TestPreemption:
         filler.priority = 25
         prod = make_job(2, tier=Tier.PROD, submit=600.0, cpu=0.3, mem=0.3,
                         duration=600.0)
-        result = run_cell([filler, prod], machines=machines, config=config)
+        sim, result = run_cell([filler, prod], machines=machines, config=config)
         assert result.counters.preemption_victims >= 1
-        evicts = [e for e in events_of(result, 1, "instance")
+        evicts = [e for e in events_of(sim, 1, "instance")
                   if e.event is EventType.EVICT]
         assert evicts
         # Victim was resubmitted (is_new False on its later SUBMIT).
-        resubmits = [e for e in events_of(result, 1, "instance")
+        resubmits = [e for e in events_of(sim, 1, "instance")
                      if e.event is EventType.SUBMIT and not e.is_new]
         assert resubmits
 
@@ -186,20 +187,20 @@ class TestPreemption:
         filler.priority = 110
         free = make_job(2, tier=Tier.FREE, submit=600.0, cpu=0.5, mem=0.5)
         free.priority = 25
-        result = run_cell([filler, free], machines=machines)
+        sim, result = run_cell([filler, free], machines=machines)
         assert result.counters.preemption_victims == 0
 
 
 class TestHazards:
     def test_restarts_produce_churn(self):
         config = make_config(restart_rate_per_hour=5.0)
-        result = run_cell([make_job(1, duration=3 * 3600.0)], config=config)
+        sim, result = run_cell([make_job(1, duration=3 * 3600.0)], config=config)
         assert result.counters.task_restarts > 0
-        fails = [e for e in events_of(result, 1, "instance")
+        fails = [e for e in events_of(sim, 1, "instance")
                  if e.event is EventType.FAIL]
         assert fails
         # The collection itself still ends normally.
-        assert result.collections[0].end_reason is EndReason.FINISH
+        assert sim.collections[0].end_reason is EndReason.FINISH
 
     def test_eviction_hazard_reschedules(self):
         config = make_config(
@@ -208,19 +209,19 @@ class TestHazards:
         )
         job = make_job(1, tier=Tier.FREE, duration=2 * 3600.0)
         job.priority = 25
-        result = run_cell([job], config=config)
+        sim, result = run_cell([job], config=config)
         assert result.counters.evictions >= 1
-        assert result.collections[0].instances[0].n_evictions >= 1
+        assert sim.collections[0].instances[0].n_evictions >= 1
 
     def test_machine_downtime_evicts_and_recovers(self):
         config = make_config(machine_downtime_per_month=10_000.0,
                              machine_downtime_duration=600.0)
         machines = [Machine(0, Resources(1.0, 1.0))]
-        result = run_cell([make_job(1, duration=3.5 * 3600.0)],
+        sim, result = run_cell([make_job(1, duration=3.5 * 3600.0)],
                           machines=machines, config=config)
         assert result.counters.machine_downtimes >= 1
-        assert len(result.events.machine_events) >= 2
-        kinds = {e.event for e in result.events.machine_events}
+        assert len(result.events.machine_events["time"]) >= 2
+        kinds = set(result.events.machine_events["event"])
         assert {"REMOVE", "ADD"} <= kinds
 
 
@@ -239,18 +240,18 @@ class TestAllocSets:
     def test_task_placed_inside_alloc(self):
         alloc = self._alloc_set()
         job = make_job(1, submit=60.0, alloc_id=10, cpu=0.1, mem=0.1)
-        result = run_cell([alloc, job])
-        task = [c for c in result.collections if c.collection_id == 1][0].instances[0]
+        sim, result = run_cell([alloc, job])
+        task = [c for c in sim.collections if c.collection_id == 1][0].instances[0]
         # The task ran on the machine hosting one of the alloc instances.
-        alloc_machines = {iv[2] for c in result.collections if c.collection_id == 10
+        alloc_machines = {iv[2] for c in sim.collections if c.collection_id == 10
                           for i in c.instances for iv in i.run_intervals}
-        alloc_live = {i.machine_id for c in result.collections
+        alloc_live = {i.machine_id for c in sim.collections
                       if c.collection_id == 10 for i in c.instances}
         assert task.run_intervals[0][2] in (alloc_machines | alloc_live)
 
     def test_alloc_instances_emit_reservation_rows(self):
         alloc = self._alloc_set()
-        result = run_cell([alloc])
+        sim, result = run_cell([alloc])
         u = result.usage
         assert len(u["window_start"]) > 0
         assert float(u["avg_cpu"].sum()) == 0.0        # reservations: no usage
@@ -259,9 +260,9 @@ class TestAllocSets:
     def test_overflow_falls_back_to_machines(self):
         alloc = self._alloc_set(n=1, size=0.15)
         job = make_job(1, submit=60.0, alloc_id=10, n=6, cpu=0.1, mem=0.1)
-        result = run_cell([alloc, job])
+        sim, result = run_cell([alloc, job])
         # All six tasks ran even though the alloc fits at most one.
-        schedules = [e for e in events_of(result, 1, "instance")
+        schedules = [e for e in events_of(sim, 1, "instance")
                      if e.event is EventType.SCHEDULE]
         assert len(schedules) == 6
 
@@ -272,8 +273,8 @@ class TestTimeouts:
         config = make_config(horizon=6 * 3600.0)
         # Request exceeds every machine even with over-commit: never places.
         job = make_job(1, cpu=0.9, mem=0.9, duration=600.0)
-        result = run_cell([job], machines=machines, config=config)
-        c = result.collections[0]
+        sim, result = run_cell([job], machines=machines, config=config)
+        c = sim.collections[0]
         assert c.end_reason is EndReason.KILL
         assert c.first_running_time is None
 
@@ -314,13 +315,14 @@ class TestReconcile:
 class TestDeterminism:
     def test_same_seed_same_outcome(self):
         workload = lambda: [make_job(i, submit=i * 30.0, n=2) for i in range(1, 6)]
-        a = run_cell(workload(), seed=7)
-        b = run_cell(workload(), seed=7)
-        assert len(a.events.instance_events) == len(b.events.instance_events)
+        _, a = run_cell(workload(), seed=7)
+        _, b = run_cell(workload(), seed=7)
+        assert len(a.events.instance_events["time"]) == \
+            len(b.events.instance_events["time"])
         assert a.usage["avg_cpu"].tolist() == b.usage["avg_cpu"].tolist()
 
     def test_different_seed_different_usage(self):
         workload = lambda: [make_job(1, duration=3 * 3600.0)]
-        a = run_cell(workload(), seed=1)
-        b = run_cell(workload(), seed=2)
+        _, a = run_cell(workload(), seed=1)
+        _, b = run_cell(workload(), seed=2)
         assert a.usage["avg_cpu"].tolist() != b.usage["avg_cpu"].tolist()

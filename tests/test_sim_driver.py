@@ -32,6 +32,11 @@ def _fingerprint(trace) -> str:
     return h.hexdigest()
 
 
+def _stream_lists(stream) -> dict:
+    """A frozen event stream as plain Python lists, for ``==``."""
+    return {field: values.tolist() for field, values in stream.items()}
+
+
 def _scenarios():
     """Three fast, distinct 2019 cells (fresh objects per call)."""
     return scenarios_2019(seed=7, machines_per_cell=12, horizon_hours=3.0,
@@ -157,8 +162,8 @@ class TestFailureHeavyDeterminism:
         assert [_fingerprint(encode_cell(r)) for r in serial] == \
             [_fingerprint(encode_cell(r)) for r in pooled]
         # The resubmission side stream is part of the contract too.
-        assert [r.events.resubmit_events for r in serial] == \
-            [r.events.resubmit_events for r in pooled]
+        assert [_stream_lists(r.events.resubmit_events) for r in serial] == \
+            [_stream_lists(r.events.resubmit_events) for r in pooled]
 
     def test_rerun_is_bit_exact(self):
         a = run_cells(_faulty_scenarios(), workers=1)

@@ -41,6 +41,22 @@ class TestConstruction:
         with pytest.raises(SchemaError):
             Column(["a", object()])
 
+    @pytest.mark.parametrize("values", [["a", "bc"], ("a", "bc"),
+                                        np.asarray(["a", "bc"]),
+                                        np.asarray(["a", "bc"], dtype=object)])
+    def test_str_elements_are_plain_str(self, values):
+        # Not numpy.str_: a list goes straight to an object array, and a
+        # fixed-width <U array is unboxed.
+        col = Column(values)
+        assert [type(v) for v in col.values] == [str, str]
+        assert col.values.tolist() == ["a", "bc"]
+
+    @pytest.mark.parametrize("values", [["a", 1], [1, "a"], ["a", 2.5]])
+    def test_rejects_numbers_among_strings(self, values):
+        # np.asarray would stringify the number into a <U array.
+        with pytest.raises(SchemaError):
+            Column(values)
+
     def test_empty_column(self):
         assert len(Column([])) == 0
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.store import DEFAULT_CLUSTER_BY
 from repro.table import Table
 from repro.trace import (
     encode_cell,
@@ -184,6 +185,21 @@ class TestIo:
             back.instance_usage.column("avg_cpu").values,
             trace_2011.instance_usage.column("avg_cpu").values,
         )
+
+    def test_store_round_trip_keeps_value_reprs(self, trace_2019, tmp_path):
+        # Encoded string columns hold plain ``str``, like the ones the
+        # store reader builds: the tables print identically, not only
+        # compare equal.
+        save_trace(trace_2019, tmp_path / "t", format="store")
+        back = load_trace(tmp_path / "t")
+        for name, table in trace_2019.tables.items():
+            key = next((c for c in DEFAULT_CLUSTER_BY
+                        if c in table.column_names), None)
+            if key is not None:
+                table = table.sort(key)  # the store's row clustering
+            for col in table.column_names:
+                assert repr(back.tables[name].column(col).values.tolist()) \
+                    == repr(table.column(col).values.tolist()), (name, col)
 
     def test_missing_metadata(self, tmp_path):
         with pytest.raises(SchemaError):

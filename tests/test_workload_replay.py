@@ -24,27 +24,27 @@ class TestReconstruction:
                           .distinct("collection_id"))
         assert len(workload) == n_submitted
 
-    def test_tiers_and_widths_preserved(self, trace_2019, result_2019):
+    def test_tiers_and_widths_preserved(self, trace_2019, sim_2019):
         replayed = {c.collection_id: c for c in workload_from_trace(trace_2019)}
-        for original in result_2019.collections:
+        for original in sim_2019.collections:
             replay = replayed[original.collection_id]
             assert replay.tier == original.tier
             assert replay.num_instances == original.num_instances
             assert replay.collection_type == original.collection_type
             assert replay.constraint == original.constraint
 
-    def test_requests_preserved(self, trace_2019, result_2019):
+    def test_requests_preserved(self, trace_2019, sim_2019):
         replayed = {c.collection_id: c for c in workload_from_trace(trace_2019)}
-        original = result_2019.collections[0]
+        original = sim_2019.collections[0]
         replay = replayed[original.collection_id]
         for a, b in zip(original.instances, replay.instances):
             assert b.request.cpu == pytest.approx(a.request.cpu)
             assert b.request.mem == pytest.approx(a.request.mem)
 
-    def test_parent_links_preserved(self, trace_2019, result_2019):
+    def test_parent_links_preserved(self, trace_2019, sim_2019):
         replayed = {c.collection_id: c for c in workload_from_trace(trace_2019)}
         parents_original = {c.collection_id: c.parent_id
-                            for c in result_2019.collections}
+                            for c in sim_2019.collections}
         for cid, parent in parents_original.items():
             assert replayed[cid].parent_id == parent
 

@@ -74,13 +74,17 @@ def bench_scale() -> TraceScale:
     )
 
 
-def build_result(era: str, scale: TraceScale):
-    """Simulate one cell at ``scale`` and return its :class:`CellResult`.
+def build_run(era: str, scale: TraceScale):
+    """Simulate one cell at ``scale``: return the finished
+    :class:`~repro.sim.cell.CellSim` (its live collections and event
+    records, for end-state checks) and the :class:`CellResult` it
+    returned.
 
     For the 2019 era this runs the *first* cell of ``scale.cells_2019``
     (the unit scale pins exactly one).
     """
-    return _scenarios(era, scale)[0].run()
+    sim = _scenarios(era, scale)[0].simulator()
+    return sim, sim.run()
 
 
 def build_trace(era: str, scale: TraceScale,
