@@ -96,14 +96,14 @@ def gauge(name: str, value: float) -> None:
     get_registry().gauge(name, value)
 
 
-def observe(name: str, value: float) -> None:
-    """Record one sample into a timing/value histogram."""
-    get_registry().observe(name, value)
+def observe(name: str, value: float, unit: str = "seconds") -> None:
+    """Record one sample into a value histogram of the given unit."""
+    get_registry().observe(name, value, unit)
 
 
-def timer(name: str) -> TimingHistogram:
-    """A stable timing-histogram handle in the current registry."""
-    return get_registry().timer(name)
+def timer(name: str, unit: str = "seconds") -> TimingHistogram:
+    """A stable value-histogram handle in the current registry."""
+    return get_registry().timer(name, unit)
 
 
 def snapshot() -> Snapshot:

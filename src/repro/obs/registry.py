@@ -78,16 +78,23 @@ class MetricsRegistry:
 
     # -- timers ----------------------------------------------------------------
 
-    def timer(self, name: str) -> TimingHistogram:
-        """The named timing histogram (created empty on first use)."""
+    def timer(self, name: str, unit: str = "seconds") -> TimingHistogram:
+        """The named value histogram (created empty on first use).
+
+        A histogram keeps the unit it was created with; asking for it
+        under another unit is an error, not a silent relabel.
+        """
         timer = self._timers.get(name)
         if timer is None:
-            timer = TimingHistogram()
+            timer = TimingHistogram(unit)
             self._timers[name] = timer
+        elif timer.unit != unit:
+            raise ValueError(f"histogram {name!r} holds {timer.unit}, "
+                             f"not {unit}")
         return timer
 
-    def observe(self, name: str, value: float) -> None:
-        self.timer(name).observe(value)
+    def observe(self, name: str, value: float, unit: str = "seconds") -> None:
+        self.timer(name, unit).observe(value)
 
     # -- spans -----------------------------------------------------------------
 
@@ -121,7 +128,8 @@ class MetricsRegistry:
         for name, value in snapshot.gauges.items():
             self._gauges[name] = value
         for name, data in snapshot.timers.items():
-            self.timer(name).merge(TimingHistogram.from_dict(data))
+            incoming_timer = TimingHistogram.from_dict(data)
+            self.timer(name, incoming_timer.unit).merge(incoming_timer)
         incoming = snapshot.span_root()
         target = self.spans.current
         for name, child in incoming.children.items():

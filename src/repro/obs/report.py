@@ -53,9 +53,9 @@ def run_report(command: str = "", meta: Optional[dict] = None,
         sections.setdefault(_section_of(name), _empty_section())[
             "gauges"][name] = value
     for name, data in sorted(snapshot.timers.items()):
-        summary = TimingHistogram.from_dict(data).summary()
+        histogram = TimingHistogram.from_dict(data)
         sections.setdefault(_section_of(name), _empty_section())[
-            "timers"][name] = summary
+            "timers"][name] = {"unit": histogram.unit, **histogram.summary()}
     report = {
         "schema": SCHEMA,
         "command": command,
@@ -101,6 +101,19 @@ def _fmt_seconds(value: float) -> str:
     if value >= 1e-3:
         return f"{value * 1e3:.1f}ms"
     return f"{value * 1e6:.0f}us"
+
+
+def _fmt_value(value: float, unit: str) -> str:
+    """A histogram value in its unit: a time, a plain number, or bytes."""
+    if unit == "seconds":
+        return _fmt_seconds(value)
+    if unit == "bytes":
+        for scale, suffix in ((1 << 30, "GiB"), (1 << 20, "MiB"),
+                              (1 << 10, "KiB")):
+            if value >= scale:
+                return f"{value / scale:.1f}{suffix}"
+        return f"{value:.0f}B"
+    return f"{value:.6g}"
 
 
 def _render_span(lines: List[str], node: dict, depth: int) -> None:
@@ -161,10 +174,11 @@ def render_report(report: dict) -> str:
         for name, value in gauges.items():
             lines.append(f"  {name:<44s} {value:g} (gauge)")
         for name, summary in timers.items():
+            unit = summary.get("unit", "seconds")
             lines.append(
                 f"  {name:<44s} n={summary['count']:<7d} "
-                f"p50={_fmt_seconds(summary['p50'])} "
-                f"p95={_fmt_seconds(summary['p95'])} "
-                f"p99={_fmt_seconds(summary['p99'])} "
-                f"sum={_fmt_seconds(summary['sum'])}")
+                f"p50={_fmt_value(summary['p50'], unit)} "
+                f"p95={_fmt_value(summary['p95'], unit)} "
+                f"p99={_fmt_value(summary['p99'], unit)} "
+                f"sum={_fmt_value(summary['sum'], unit)}")
     return "\n".join(lines) + "\n"

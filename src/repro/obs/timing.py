@@ -3,7 +3,10 @@
 The registry's *timer* metric: every observed value (usually a span or
 phase duration in seconds) lands in one of a fixed set of geometric
 buckets — ten per decade from 1e-6 to 1e4, plus underflow and overflow —
-alongside exact ``count``/``sum``/``min``/``max``.  Fixed edges make two
+alongside exact ``count``/``sum``/``min``/``max``.  Each histogram
+carries the unit of its values (:data:`UNITS`: seconds, a count, or
+bytes) through snapshots and merges, so a report renders a queue depth
+as a number and a span duration as a time.  Fixed edges make two
 histograms mergeable by plain bucket-count addition, which is what lets
 child-process snapshots fold into the parent registry without loss
 (beyond bucket resolution) and without ordering sensitivity.
@@ -26,6 +29,9 @@ _LOG_MAX = 4.0
 _PER_DECADE = 10
 #: Interior buckets plus one underflow (index 0) and one overflow (last).
 N_BUCKETS = int((_LOG_MAX - _LOG_MIN) * _PER_DECADE) + 2
+
+#: The units a histogram's values can carry.
+UNITS = ("seconds", "count", "bytes")
 
 
 def bucket_index(value: float) -> int:
@@ -52,9 +58,12 @@ def bucket_bounds(index: int) -> tuple:
 class TimingHistogram:
     """One mergeable histogram: fixed log buckets + exact count/sum/min/max."""
 
-    __slots__ = ("count", "total", "min", "max", "_buckets")
+    __slots__ = ("unit", "count", "total", "min", "max", "_buckets")
 
-    def __init__(self) -> None:
+    def __init__(self, unit: str = "seconds") -> None:
+        if unit not in UNITS:
+            raise ValueError(f"unknown histogram unit {unit!r}; use one of {UNITS}")
+        self.unit = unit
         self.count = 0
         self.total = 0.0
         self.min: Optional[float] = None
@@ -104,6 +113,9 @@ class TimingHistogram:
 
     def merge(self, other: "TimingHistogram") -> None:
         """Fold ``other`` into this histogram (bucket-count addition)."""
+        if other.unit != self.unit:
+            raise ValueError(f"cannot merge a {other.unit} histogram into "
+                             f"a {self.unit} histogram")
         self.count += other.count
         self.total += other.total
         if other.min is not None and (self.min is None or other.min < self.min):
@@ -117,6 +129,7 @@ class TimingHistogram:
     def to_dict(self) -> Dict[str, object]:
         """A plain-data form (picklable / JSONable); sparse bucket list."""
         return {
+            "unit": self.unit,
             "count": self.count,
             "total": self.total,
             "min": self.min,
@@ -126,7 +139,7 @@ class TimingHistogram:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "TimingHistogram":
-        histogram = cls()
+        histogram = cls(str(data.get("unit", "seconds")))
         histogram.count = int(data["count"])
         histogram.total = float(data["total"])
         histogram.min = None if data["min"] is None else float(data["min"])
@@ -149,5 +162,6 @@ class TimingHistogram:
         }
 
     def __repr__(self) -> str:
-        return (f"TimingHistogram(count={self.count}, mean={self.mean:.6f}, "
+        return (f"TimingHistogram(unit={self.unit}, count={self.count}, "
+                f"mean={self.mean:.6f}, "
                 f"max={self.max})")

@@ -526,7 +526,8 @@ class CellSim:
                     self._pending.push(instance)
             obs.gauge("sim.queue.pending_depth", len(self._pending))
             obs.gauge("sim.queue.parked_depth", len(self._parked))
-            obs.observe("sim.queue.pending_depth_dist", len(self._pending))
+            obs.observe("sim.queue.pending_depth_dist", len(self._pending),
+                        unit="count")
             batch = self._pending.pop_batch(self.config.scheduler.round_capacity)
         with obs.span("sim.round.place"):
             self._place_batch(t, batch)

@@ -74,9 +74,10 @@ class ChunkCache:
 
         Sums the numpy buffer sizes of every cached column — useful when
         tuning ``cache_chunks``, where entry *count* says nothing about
-        footprint.  Object (string) columns count pointer storage only.
+        footprint.  String columns count their codes only (their
+        vocabularies are a few distinct values per chunk).
         """
-        return sum(column.values.nbytes
+        return sum(column.keys.nbytes
                    for table in self._entries.values()
                    for name in table.column_names
                    for column in (table.column(name),))

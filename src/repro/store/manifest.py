@@ -26,7 +26,7 @@ from repro.util.errors import SchemaError
 
 MANIFEST_FILE = "manifest.json"
 FORMAT_NAME = "repro-store"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def chunk_stats(table: Table) -> Dict[str, Dict[str, object]]:
@@ -65,10 +65,11 @@ class Manifest:
             raise SchemaError(
                 f"not a {FORMAT_NAME} manifest (format={data.get('format')!r})"
             )
-        if data.get("version", 0) > FORMAT_VERSION:
+        if data.get("version") != FORMAT_VERSION:
             raise SchemaError(
-                f"store version {data['version']} is newer than this "
-                f"reader (understands <= {FORMAT_VERSION})"
+                f"store version {data.get('version')!r} is not supported: "
+                f"this reader understands version {FORMAT_VERSION} only "
+                "(convert the trace again to rewrite the store)"
             )
         self.data = data
         self.root = root

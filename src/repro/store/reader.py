@@ -58,14 +58,21 @@ class TraceStore:
 
     # -- chunk access (cached) ----------------------------------------------
 
-    def load_chunk(self, table: str, file: str,
+    def load_chunk(self, table: str, chunk: dict,
                    columns: Optional[Sequence[str]] = None) -> Table:
-        """Decode one chunk (projected), via the LRU cache."""
+        """Decode one chunk (projected), via the LRU cache.
+
+        ``chunk`` is the table's manifest entry: a missing file, or a
+        header whose row count differs from the entry's, raises
+        :class:`SchemaError` naming the chunk file (under its table's
+        directory).
+        """
+        file = chunk["file"]
         key = (table, file, tuple(columns) if columns is not None else None)
         cached = self.cache.get(key)
         if cached is not None:
             return cached
-        decoded = read_chunk(self.chunk_path(file), columns)
+        decoded = read_chunk(self.chunk_path(file), columns, rows=chunk["rows"])
         self.cache.put(key, decoded)
         return decoded
 
@@ -91,7 +98,7 @@ class TraceStore:
         if not chunks:
             return self.empty_table(table, columns)
         wanted = tuple(columns) if columns is not None else None
-        parts = [self.load_chunk(table, c["file"], wanted) for c in chunks]
+        parts = [self.load_chunk(table, c, wanted) for c in chunks]
         return concat(parts)
 
     def __repr__(self) -> str:

@@ -132,12 +132,17 @@ class Scan:
                 for c in survivors
             ]
             results = run_tasks(tasks, workers)
+            for c, (_, rows_decoded, _) in zip(survivors, results):
+                if decode and rows_decoded != c["rows"]:
+                    raise SchemaError(
+                        f"chunk {self._store.chunk_path(c['file'])} holds "
+                        f"{rows_decoded} rows, but the store manifest lists "
+                        f"{c['rows']}")
         else:
             results = []
             for c in survivors:
                 with obs.span("store.chunk"):
-                    table = self._store.load_chunk(self._table, c["file"],
-                                                   decode)
+                    table = self._store.load_chunk(self._table, c, decode)
                     results.append(process_table(table, self._predicate,
                                                  keep_columns, aggs))
         for _, rows_decoded, rows_matched in results:

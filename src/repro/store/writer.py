@@ -17,8 +17,6 @@ import os
 from pathlib import Path
 from typing import Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from repro import obs
 from repro.store.format import CHUNK_SUFFIX, write_chunk
 from repro.store.manifest import Manifest, chunk_stats
@@ -86,7 +84,7 @@ def _write_table(manifest: Manifest, root: Path, name: str, table: Table,
     for i in range(n_chunks):
         lo = i * chunk_rows
         hi = min(lo + chunk_rows, len(table))
-        chunk = table.take(np.arange(lo, hi))
+        chunk = Table({n: table.column(n)[lo:hi] for n in table.column_names})
         file = f"{name}/chunk-{i:05d}{CHUNK_SUFFIX}"
         nbytes = write_chunk(chunk, root / file)
         registry = obs.get_registry()

@@ -34,22 +34,21 @@ _BUILTIN_AGGS: Dict[str, Callable[[np.ndarray], float]] = {
 }
 
 
-def _factorize(values: np.ndarray) -> Tuple[np.ndarray, List]:
-    """Map values to dense integer codes plus the code->value table."""
-    if values.dtype == object:
-        mapping: Dict[str, int] = {}
-        codes = np.empty(len(values), dtype=np.int64)
-        uniques: List = []
-        for i, v in enumerate(values):
-            code = mapping.get(v)
-            if code is None:
-                code = len(uniques)
-                mapping[v] = code
-                uniques.append(v)
-            codes[i] = code
-        return codes, uniques
-    uniq, codes = np.unique(values, return_inverse=True)
-    return codes.astype(np.int64), uniq.tolist()
+def _factorize(column: Column) -> Tuple[np.ndarray, List]:
+    """Map values to dense integer codes plus the code->value table.
+
+    Numeric keys number their groups in value order; string keys in
+    order of first appearance, computed from the column's codes.
+    """
+    if column.kind != "str":
+        uniq, codes = np.unique(column.values, return_inverse=True)
+        return codes.astype(np.int64), uniq.tolist()
+    used, first, inverse = np.unique(column.codes, return_index=True,
+                                     return_inverse=True)
+    appearance = np.argsort(first)
+    rank = np.empty(len(used), dtype=np.int64)
+    rank[appearance] = np.arange(len(used))
+    return rank[inverse], column.vocabulary[used[appearance]].tolist()
 
 
 class GroupBy:
@@ -92,7 +91,7 @@ class GroupBy:
         key_uniques: List[List] = []
         key_codes: List[np.ndarray] = []
         for key in self._keys:
-            codes, uniques = _factorize(self._table.column(key).values)
+            codes, uniques = _factorize(self._table.column(key))
             key_codes.append(codes)
             key_uniques.append(uniques)
             combined = combined * max(len(uniques), 1) + codes
@@ -106,7 +105,7 @@ class GroupBy:
 
         data = {}
         for i, key in enumerate(self._keys):
-            data[key] = Column(self._table.column(key).values[rep_rows])
+            data[key] = self._table.column(key)[rep_rows]
 
         for out_name, spec in aggregations.items():
             if not (isinstance(spec, tuple) and len(spec) == 2):

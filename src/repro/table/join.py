@@ -62,13 +62,16 @@ def join(left, right, on: Union[str, Sequence[str]], how: str = "inner",
 
     data = {}
     for name in left.column_names:
-        data[name] = Column(left.column(name).values[left_idx])
+        data[name] = left.column(name)[left_idx]
 
     for name in right.column_names:
         if name in keys:
             continue
         out_name = name if name not in data else f"{name}{suffix}"
         src = right.column(name)
+        if matched.all():
+            data[out_name] = src[right_idx]
+            continue
         fill = _FILL[src.kind]
         values = np.empty(len(right_idx), dtype=src.values.dtype)
         values[:] = fill

@@ -7,12 +7,15 @@ tables; nothing mutates in place.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.table.column import Column
+from repro.table.column import Column, concat_columns
 from repro.util.errors import SchemaError
+
+if TYPE_CHECKING:
+    from repro.table.groupby import GroupBy
 
 
 class Table:
@@ -83,7 +86,7 @@ class Table:
         """Row ``i`` as a dict (supports negative indices)."""
         if not -self._length <= i < self._length:
             raise IndexError(f"row {i} out of range for table of {self._length} rows")
-        return {name: c.values[i] for name, c in self._columns.items()}
+        return {name: c[i] for name, c in self._columns.items()}
 
     def iter_rows(self) -> Iterator[Dict[str, object]]:
         for i in range(self._length):
@@ -114,12 +117,12 @@ class Table:
             raise SchemaError(f"filter predicate must be boolean, got dtype {mask.dtype}")
         if len(mask) != self._length:
             raise SchemaError(f"filter mask has {len(mask)} rows, table has {self._length}")
-        return Table({n: Column(c.values[mask]) for n, c in self._columns.items()})
+        return Table({n: c[mask] for n, c in self._columns.items()})
 
     def take(self, indices: Union[np.ndarray, Sequence[int]]) -> "Table":
         """Rows at the given positions, in the given order."""
         idx = np.asarray(indices, dtype=np.int64)
-        return Table({n: Column(c.values[idx]) for n, c in self._columns.items()})
+        return Table({n: c[idx] for n, c in self._columns.items()})
 
     def head(self, n: int = 10) -> "Table":
         return self.take(np.arange(min(n, self._length)))
@@ -140,11 +143,7 @@ class Table:
         if not names:
             raise SchemaError("sort requires at least one column name")
         # numpy lexsort uses the *last* key as primary; feed keys reversed.
-        keys = []
-        for name in reversed(names):
-            values = self.column(name).values
-            keys.append(values if values.dtype != object else np.asarray([str(v) for v in values]))
-        order = np.lexsort(keys)
+        order = np.lexsort([self.column(name).keys for name in reversed(names)])
         if descending:
             order = order[::-1]
         return self.take(order)
@@ -154,7 +153,7 @@ class Table:
         subset = names or tuple(self._columns)
         seen = set()
         keep: List[int] = []
-        cols = [self.column(n).values for n in subset]
+        cols = [self.column(n).keys for n in subset]
         for i in range(self._length):
             key = tuple(c[i] for c in cols)
             if key not in seen:
@@ -162,7 +161,7 @@ class Table:
                 keep.append(i)
         return self.take(np.asarray(keep, dtype=np.int64))
 
-    def group_by(self, *names: str) -> "GroupBy":  # noqa: F821
+    def group_by(self, *names: str) -> "GroupBy":
         """Start a group-by over the named key columns."""
         from repro.table.groupby import GroupBy
 
@@ -192,7 +191,7 @@ class Table:
                 return f"{v:.6g}"
             return str(v)
 
-        rows = [[fmt(self._columns[n].values[i]) for n in names] for i in range(shown)]
+        rows = [[fmt(self._columns[n][i]) for n in names] for i in range(shown)]
         widths = [max(len(n), *(len(r[j]) for r in rows)) if rows else len(n)
                   for j, n in enumerate(names)]
         lines = ["  ".join(n.ljust(w) for n, w in zip(names, widths))]
@@ -218,12 +217,5 @@ def concat(tables: Sequence[Table]) -> Table:
             raise SchemaError(
                 f"concat schema mismatch: {t.column_names} != {names}"
             )
-    data = {}
-    for name in names:
-        parts = [t.column(name).values for t in tables]
-        if any(p.dtype == object for p in parts):
-            merged = np.concatenate([p.astype(object) for p in parts])
-        else:
-            merged = np.concatenate(parts)
-        data[name] = Column(merged)
-    return Table(data)
+    return Table({name: concat_columns([t.column(name) for t in tables])
+                  for name in names})

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import pickle
+import re
 
 import pytest
 
@@ -96,6 +97,20 @@ class TestTimingHistogram:
             json.loads(json.dumps(hist.to_dict())))
         assert clone.to_dict() == hist.to_dict()
         assert clone.summary() == hist.summary()
+
+    def test_unit_survives_dict_round_trip_and_merge(self):
+        hist = TimingHistogram("count")
+        for v in (3, 40):
+            hist.observe(v)
+        clone = TimingHistogram.from_dict(
+            json.loads(json.dumps(hist.to_dict())))
+        assert clone.unit == "count" and clone.to_dict() == hist.to_dict()
+        clone.merge(hist)
+        assert clone.unit == "count" and clone.count == 4
+        with pytest.raises(ValueError, match="cannot merge"):
+            TimingHistogram().merge(hist)
+        with pytest.raises(ValueError, match="unknown histogram unit"):
+            TimingHistogram("furlongs")
 
     def test_summary_keys(self):
         summary = TimingHistogram().summary()
@@ -263,6 +278,17 @@ class TestRegistry:
         assert registry.snapshot().span_structure() == (
             "root", 0, (("store.scan", 1, (("store.chunk", 1, ()),)),))
 
+    def test_merge_snapshot_keeps_value_units(self, registry):
+        child = obs.MetricsRegistry()
+        child.observe("sim.queue.depth", 7, unit="count")
+        child.observe("store.payload", 4096, unit="bytes")
+        registry.merge_snapshot(child.snapshot())
+        merged = registry.snapshot().timers
+        assert merged["sim.queue.depth"]["unit"] == "count"
+        assert merged["store.payload"]["unit"] == "bytes"
+        with pytest.raises(ValueError, match="holds count"):
+            obs.observe("sim.queue.depth", 1.0)
+
     def test_traced_decorator(self, registry):
         calls = []
 
@@ -365,6 +391,27 @@ class TestObsCli:
         out = capsys.readouterr().out
         assert "repro.obs run report" in out
         assert "sim.run" in out
+
+    def test_stats_renders_queue_depth_as_a_count(self, report_path, capsys):
+        report = obs.load_report(report_path)
+        depth = report["sections"]["sim"]["timers"][
+            "sim.queue.pending_depth_dist"]
+        assert depth["unit"] == "count" and depth["count"] > 0
+        assert main(["stats", str(report_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        depth_line = next(line for line in lines
+                          if "sim.queue.pending_depth_dist" in line)
+        fields = dict(f.split("=") for f in depth_line.split()[1:])
+        for key in ("p50", "p95", "p99", "sum"):
+            float(fields[key])  # a plain number: no s/ms/us suffix
+        # Span timers and span trees still render in seconds.
+        round_line = next(line for line in lines
+                          if line.split()[:1] == ["sim.round.admit"]
+                          and "p50=" in line)
+        assert re.search(r"p50=[\d.]+(s|ms|us) ", round_line)
+        span_line = next(line for line in lines
+                         if line.split()[:1] == ["sim.run"] and "total=" in line)
+        assert re.search(r"total=[\d.]+(s|ms|us)$", span_line)
 
     def test_stats_json_round_trips(self, report_path, capsys):
         assert main(["stats", str(report_path), "--format", "json"]) == 0

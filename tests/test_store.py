@@ -148,6 +148,19 @@ def _truncate(path, nbytes=3):
     path.write_bytes(data[:-nbytes])
 
 
+def _string_payload(path):
+    """A one-column chunk's bytes (mutable) and where its payload starts."""
+    header = read_chunk_header(path)
+    data = bytearray(path.read_bytes())
+    return data, len(data) - header["columns"][0]["nbytes"]
+
+
+def _write_raw_chunk(path, header, payload):
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(b"RSTORE2\n" + len(blob).to_bytes(8, "little") + blob
+                     + payload)
+
+
 class TestDamagedChunks:
     """A damaged chunk raises a SchemaError naming the chunk file; it
     never decodes into shortened or shifted values."""
@@ -173,14 +186,63 @@ class TestDamagedChunks:
     def test_decreasing_string_offsets(self, tmp_path):
         path = tmp_path / "c.rsc"
         write_chunk(Table({"s": ["ab", "cd"]}), path)
-        header = read_chunk_header(path)
-        data = bytearray(path.read_bytes())
-        # Payload starts after magic, the 8-byte length and the header;
-        # the offsets are [0, 2, 4]: point the middle one past the end.
-        start = len(data) - header["columns"][0]["nbytes"]
+        data, start = _string_payload(path)
+        # The payload opens with the vocabulary offsets [0, 2, 4] (then
+        # the blob "abcd" and the codes): point the middle one past the
+        # end.
         data[start + 8:start + 16] = (5).to_bytes(8, "little")
         path.write_bytes(bytes(data))
         with pytest.raises(SchemaError, match="offsets"):
+            read_chunk(path)
+
+    def test_offsets_past_the_vocabulary_blob(self, tmp_path):
+        path = tmp_path / "c.rsc"
+        write_chunk(Table({"s": ["ab", "cd"]}), path)
+        data, start = _string_payload(path)
+        data[start + 16:start + 24] = (64).to_bytes(8, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(SchemaError, match=r"c\.rsc.*offsets do not tile"):
+            read_chunk(path)
+
+    def test_code_outside_vocabulary(self, tmp_path):
+        path = tmp_path / "c.rsc"
+        write_chunk(Table({"s": ["ab", "cd", "ab"]}), path)
+        data, _ = _string_payload(path)
+        data[-1] = 2  # the vocabulary has two entries
+        path.write_bytes(bytes(data))
+        with pytest.raises(SchemaError, match=r"c\.rsc.*code 2 is outside"):
+            read_chunk(path)
+
+    @pytest.mark.parametrize("blob", [b"cdab", b"abab"])
+    def test_vocabulary_not_strictly_increasing(self, tmp_path, blob):
+        path = tmp_path / "c.rsc"
+        write_chunk(Table({"s": ["ab", "cd"]}), path)
+        data, start = _string_payload(path)
+        data[start + 24:start + 28] = blob
+        path.write_bytes(bytes(data))
+        with pytest.raises(SchemaError,
+                           match=r"c\.rsc.*not strictly increasing"):
+            read_chunk(path)
+
+    def test_truncated_code_array(self, tmp_path):
+        # The header agrees with the file, but the code array is one
+        # row short.
+        path = tmp_path / "c.rsc"
+        write_chunk(Table({"s": ["ab", "cd", "ab"]}), path)
+        header = read_chunk_header(path)
+        payload = path.read_bytes()[-header["columns"][0]["nbytes"]:][:-1]
+        header["columns"][0]["nbytes"] = len(payload)
+        _write_raw_chunk(path, header, payload)
+        with pytest.raises(SchemaError, match=r"c\.rsc.*code array"):
+            read_chunk(path)
+
+    def test_rejects_version_1_chunk(self, tmp_path):
+        path = tmp_path / "c.rsc"
+        write_chunk(Table({"s": ["ab"]}), path)
+        data = bytearray(path.read_bytes())
+        data[:8] = b"RSTORE1\n"
+        path.write_bytes(bytes(data))
+        with pytest.raises(SchemaError, match=r"c\.rsc.*RSTORE1"):
             read_chunk(path)
 
     @pytest.mark.parametrize("last", ["tier", "avg_cpu"])
@@ -196,6 +258,46 @@ class TestDamagedChunks:
         _truncate(path)
         with pytest.raises(SchemaError, match="truncated"):
             open_store(tmp_path / "s").read_table("instance_usage")
+
+
+class TestDamagedStore:
+    """A store whose chunk files disagree with its manifest is rejected
+    by name, not read into a table the manifest contradicts."""
+
+    @pytest.fixture()
+    def usage_store(self, tmp_path):
+        write_store(_dataset(usage_rows=300), tmp_path / "s", chunk_rows=128)
+        return tmp_path / "s"
+
+    def test_chunk_row_count_differs_from_manifest(self, usage_store):
+        store = open_store(usage_store)
+        path = store.chunk_path(store.manifest.chunks("instance_usage")[0]["file"])
+        write_chunk(read_chunk(path).take(np.arange(10)), path)
+        assert open_store(usage_store).scan("instance_usage").count() == 300
+        where = r"instance_usage/chunk-00000\.rsc holds 10 rows.*lists 128"
+        with pytest.raises(SchemaError, match=where):
+            open_store(usage_store).read_table("instance_usage")
+        scan = open_store(usage_store).scan("instance_usage").where(
+            Compare("avg_cpu", ">=", 0.0))
+        with pytest.raises(SchemaError, match=where):
+            scan.count()
+        with pytest.raises(SchemaError, match=where):
+            scan.count(workers=2)
+
+    def test_missing_chunk_file(self, usage_store):
+        store = open_store(usage_store)
+        store.chunk_path(store.manifest.chunks("instance_usage")[1]["file"]).unlink()
+        with pytest.raises(SchemaError,
+                           match=r"instance_usage/chunk-00001\.rsc is missing"):
+            open_store(usage_store).read_table("instance_usage")
+
+    def test_rejects_version_1_manifest(self, usage_store):
+        manifest = usage_store / "manifest.json"
+        data = json.loads(manifest.read_text())
+        data["version"] = 1
+        manifest.write_text(json.dumps(data))
+        with pytest.raises(SchemaError, match="store version 1 is not supported"):
+            open_store(usage_store)
 
 
 class TestChunkStats:
