@@ -34,7 +34,7 @@ def peak_slack_samples(trace: TraceDataset) -> Dict[str, np.ndarray]:
         return out
     limits = iu.column("limit_cpu").values
     peaks = iu.column("max_cpu").values
-    modes = iu.column("vertical_scaling").values
+    modes = iu.column("vertical_scaling")
     # Rows with zero usage and zero peak are alloc reservations.
     task_rows = (peaks > 0) & (limits > 0)
     slack = np.zeros(len(iu))

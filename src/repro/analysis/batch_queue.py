@@ -18,25 +18,42 @@ from repro.trace.dataset import TraceDataset
 from repro.util.timeutil import HOUR_SECONDS
 
 
+def _preceding(ids: np.ndarray) -> np.ndarray:
+    """For each row, the index of the previous row with the same id
+    (-1 for an id's first row)."""
+    order = np.argsort(ids, kind="stable")
+    same = ids[order][1:] == ids[order][:-1]
+    prev = np.full(len(ids), -1)
+    prev[order[1:][same]] = order[:-1][same]
+    return prev
+
+
+def _queue_exits(trace: TraceDataset, exits: Sequence[str]):
+    """(QUEUE row, exit row) pairs: each exit event whose collection's
+    previous QUEUE-or-exit event is a QUEUE (a later QUEUE restarts the
+    wait), plus the QUEUE rows no event follows (still queued)."""
+    ce = trace.collection_events
+    types = ce.column("type")
+    queue = types == "QUEUE"
+    rows = np.flatnonzero(queue | types.isin(exits))
+    prev = _preceding(ce.column("collection_id").values[rows])
+    is_queue = queue[rows]
+    paired = ~is_queue & (prev >= 0) & is_queue[prev]
+    followed = np.zeros(len(rows), dtype=bool)
+    followed[prev[prev >= 0]] = True
+    return rows[prev[paired]], rows[paired], rows[is_queue & ~followed]
+
+
 def queue_waits(trace: TraceDataset) -> np.ndarray:
     """QUEUE -> ENABLE wait per batch-queued collection, seconds.
 
     Collections still queued at the horizon are censored (excluded),
-    like every duration statistic over a finite trace window.
+    like every duration statistic over a finite trace window.  Waits are
+    in order of their ENABLE events.
     """
-    ce = trace.collection_events
-    queued: Dict[int, float] = {}
-    waits = []
-    ids = ce.column("collection_id").values
-    types = ce.column("type").values
-    times = ce.column("time").values
-    for i in range(len(ce)):
-        cid = int(ids[i])
-        if types[i] == "QUEUE":
-            queued[cid] = float(times[i])
-        elif types[i] == "ENABLE" and cid in queued:
-            waits.append(float(times[i]) - queued.pop(cid))
-    return np.asarray(waits)
+    times = trace.collection_events.column("time").values
+    entered, enabled, _ = _queue_exits(trace, ("ENABLE",))
+    return times[enabled] - times[entered]
 
 
 def queue_wait_ccdf(traces: Sequence[TraceDataset]) -> Ccdf:
@@ -50,26 +67,17 @@ def queue_wait_ccdf(traces: Sequence[TraceDataset]) -> Ccdf:
 
 def queue_depth_series(trace: TraceDataset) -> np.ndarray:
     """Number of collections sitting in the queue, sampled hourly."""
-    ce = trace.collection_events
     n_hours = int(np.ceil(trace.horizon / HOUR_SECONDS))
     delta = np.zeros(n_hours + 1)
-    ids = ce.column("collection_id").values
-    types = ce.column("type").values
-    times = ce.column("time").values
-    enter: Dict[int, float] = {}
-    for i in range(len(ce)):
-        cid = int(ids[i])
-        if types[i] == "QUEUE":
-            enter[cid] = float(times[i])
-        elif cid in enter and types[i] in ("ENABLE", "KILL", "FINISH",
-                                           "FAIL", "EVICT"):
-            start_h = int(enter.pop(cid) / HOUR_SECONDS)
-            end_h = min(int(times[i] / HOUR_SECONDS), n_hours - 1)
-            delta[start_h] += 1
-            delta[end_h + 1] -= 1
+    times = trace.collection_events.column("time").values
+    entered, left, still = _queue_exits(
+        trace, ("ENABLE", "KILL", "FINISH", "FAIL", "EVICT"))
+    start_h = (times[entered] / HOUR_SECONDS).astype(np.int64)
+    end_h = np.minimum((times[left] / HOUR_SECONDS).astype(np.int64), n_hours - 1)
+    np.add.at(delta, start_h, 1)
+    np.add.at(delta, end_h + 1, -1)
     # Still-queued collections occupy the queue to the horizon.
-    for t in enter.values():
-        delta[int(t / HOUR_SECONDS)] += 1
+    np.add.at(delta, (times[still] / HOUR_SECONDS).astype(np.int64), 1)
     return np.cumsum(delta[:n_hours])
 
 
@@ -98,9 +106,9 @@ def batch_queue_report(traces: Sequence[TraceDataset]) -> BatchQueueReport:
     depth = 0.0
     for trace in traces:
         ce = trace.collection_events
-        types = ce.column("type").values
-        tiers = ce.column("tier").values
-        kinds = ce.column("collection_type").values
+        types = ce.column("type")
+        tiers = ce.column("tier")
+        kinds = ce.column("collection_type")
         n_beb += int(((types == "SUBMIT") & (tiers == "beb")
                       & (kinds == "job")).sum())
         n_queued += int((types == "QUEUE").sum())

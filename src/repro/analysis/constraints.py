@@ -10,11 +10,13 @@ cell, so they queue longer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.analysis.common import last_of_each, lookup
 from repro.analysis.sched_delay import scheduling_delays
+from repro.table import Column
 from repro.trace.dataset import TraceDataset
 
 
@@ -37,17 +39,16 @@ class ConstraintReport:
         }
 
 
-def _constraints_of(trace: TraceDataset) -> Dict[int, str]:
+def _constraints_of(trace: TraceDataset) -> Tuple[np.ndarray, Column]:
+    """Constrained jobs: their sorted ids and, for each, the constraint
+    of its latest SUBMIT."""
     ce = trace.collection_events
-    out: Dict[int, str] = {}
-    ids = ce.column("collection_id").values
-    types = ce.column("type").values
-    constraints = ce.column("constraint").values
-    kinds = ce.column("collection_type").values
-    for i in range(len(ce)):
-        if types[i] == "SUBMIT" and kinds[i] == "job" and constraints[i]:
-            out[int(ids[i])] = constraints[i]
-    return out
+    constraint = ce.column("constraint")
+    rows = np.flatnonzero((ce.column("type") == "SUBMIT")
+                          & (ce.column("collection_type") == "job")
+                          & (constraint != ""))
+    ids, last = last_of_each(ce.column("collection_id").values[rows])
+    return ids, constraint[rows[last]]
 
 
 def constraint_report(traces: Sequence[TraceDataset]) -> ConstraintReport:
@@ -55,52 +56,56 @@ def constraint_report(traces: Sequence[TraceDataset]) -> ConstraintReport:
     by_platform: Dict[str, int] = {}
     satisfied = 0
     total_placements = 0
-    delays_constrained: List[float] = []
-    delays_unconstrained: List[float] = []
+    delays_constrained: List[np.ndarray] = []
+    delays_unconstrained: List[np.ndarray] = []
 
     for trace in traces:
-        constrained = _constraints_of(trace)
+        constrained, required = _constraints_of(trace)
         ce = trace.collection_events
-        submits = ((ce.column("type").values == "SUBMIT")
-                   & (ce.column("collection_type").values == "job"))
-        n_jobs += int(submits.sum())
-        for platform in constrained.values():
-            by_platform[platform] = by_platform.get(platform, 0) + 1
+        n_jobs += int(((ce.column("type") == "SUBMIT")
+                       & (ce.column("collection_type") == "job")).sum())
+        counts = np.bincount(required.codes, minlength=len(required.vocabulary))
+        for platform, count in zip(required.vocabulary.tolist(), counts.tolist()):
+            if count:
+                by_platform[platform] = by_platform.get(platform, 0) + count
 
-        attrs = trace.machine_attributes
-        platform_of = dict(zip(attrs.column("machine_id").values.tolist(),
-                               attrs.column("platform").values.tolist()))
+        # Each SCHEDULE of a constrained job: is its machine's platform
+        # (the latest attribute row of that machine) the one required?
         ie = trace.instance_events
-        ids = ie.column("collection_id").values
-        types = ie.column("type").values
-        machines = ie.column("machine_id").values
-        for i in range(len(ie)):
-            if types[i] != "SCHEDULE":
-                continue
-            required = constrained.get(int(ids[i]))
-            if required is None:
-                continue
-            total_placements += 1
-            if platform_of.get(int(machines[i])) == required:
-                satisfied += 1
+        scheduled = ie.column("type") == "SCHEDULE"
+        slot, is_constrained = lookup(
+            ie.column("collection_id").values[scheduled], constrained)
+        total_placements += int(is_constrained.sum())
+        attrs = trace.machine_attributes
+        platform = attrs.column("platform")
+        machines, last = last_of_each(attrs.column("machine_id").values)
+        where, known = lookup(ie.column("machine_id").values[scheduled][is_constrained],
+                              machines)
+        # A constraint names a platform by its string; compare codes in
+        # the attribute table's platform vocabulary.
+        pos, present = lookup(required.vocabulary, platform.vocabulary)
+        wanted = np.where(present, pos, -1)[required.codes[slot[is_constrained]]]
+        got = platform.codes[last[where[known]]]
+        satisfied += int((got == wanted[known]).sum())
 
         delays = scheduling_delays(trace)
-        d_ids = delays.column("collection_id").values
         d_vals = delays.column("delay").values
-        for cid, delay in zip(d_ids, d_vals):
-            if int(cid) in constrained:
-                delays_constrained.append(float(delay))
-            else:
-                delays_unconstrained.append(float(delay))
+        hit = np.isin(delays.column("collection_id").values, constrained)
+        delays_constrained.append(d_vals[hit])
+        delays_unconstrained.append(d_vals[~hit])
 
     n_constrained = sum(by_platform.values())
+    constrained_delays = np.concatenate(delays_constrained) \
+        if delays_constrained else np.zeros(0)
+    unconstrained_delays = np.concatenate(delays_unconstrained) \
+        if delays_unconstrained else np.zeros(0)
     return ConstraintReport(
         constrained_job_fraction=n_constrained / n_jobs if n_jobs else 0.0,
         constraints_by_platform=by_platform,
         satisfied_fraction=(satisfied / total_placements
                             if total_placements else 1.0),
-        median_delay_constrained=(float(np.median(delays_constrained))
-                                  if delays_constrained else 0.0),
-        median_delay_unconstrained=(float(np.median(delays_unconstrained))
-                                    if delays_unconstrained else 0.0),
+        median_delay_constrained=(float(np.median(constrained_delays))
+                                  if constrained_delays.size else 0.0),
+        median_delay_unconstrained=(float(np.median(unconstrained_delays))
+                                    if unconstrained_delays.size else 0.0),
     )

@@ -32,11 +32,19 @@ from repro.analysis.users import usage_per_user
 from repro.sim.cell import CellResult
 from repro.workload.archetypes import archetype_of_user
 from repro.stats.ccdf import Ccdf, empirical_ccdf
+from repro.table import Column
 from repro.trace.dataset import TraceDataset
 from repro.util.timeutil import HOUR_SECONDS
 
 #: Terminal instance-event types, in reporting order.
 TERMINAL_TYPES = ("EVICT", "FAIL", "FINISH", "KILL")
+
+
+def _count_by_tier(tiers: Column, mask: np.ndarray) -> Dict[str, int]:
+    """Rows of ``mask`` per tier label, for the labels that occur."""
+    counts = np.bincount(tiers.codes[mask], minlength=len(tiers.vocabulary))
+    return {tier: int(n) for tier, n in
+            zip(tiers.vocabulary.tolist(), counts.tolist()) if n}
 
 
 @obs.traced("analysis.failure_rates_by_tier")
@@ -54,25 +62,22 @@ def failure_rates_by_tier(traces: Sequence[TraceDataset]
     task_hours: Dict[str, float] = {}
     for trace in traces:
         ie = trace.instance_events
-        tiers = ie.column("tier").values
-        types = ie.column("type").values
-        is_new = ie.column("is_new").values
+        tiers = ie.column("tier")
+        types = ie.column("type")
         for kind in TERMINAL_TYPES:
-            mask = types == kind
-            for tier in np.unique(tiers[mask]):
-                per_tier = event_counts.setdefault(str(tier), {})
-                tier_mask = mask & (tiers == tier)
-                per_tier[kind] = per_tier.get(kind, 0) + int(tier_mask.sum())
-        submit_mask = (types == "SUBMIT") & is_new
-        for tier in np.unique(tiers[submit_mask]):
-            count = int((submit_mask & (tiers == tier)).sum())
-            new_tasks[str(tier)] = new_tasks.get(str(tier), 0) + count
+            for tier, count in _count_by_tier(tiers, types == kind).items():
+                per_tier = event_counts.setdefault(tier, {})
+                per_tier[kind] = per_tier.get(kind, 0) + count
+        submit_mask = (types == "SUBMIT") & ie.column("is_new").values
+        for tier, count in _count_by_tier(tiers, submit_mask).items():
+            new_tasks[tier] = new_tasks.get(tier, 0) + count
         iu = trace.instance_usage
-        u_tiers = iu.column("tier").values
+        u_tiers = iu.column("tier")
         durations = iu.column("duration").values
-        for tier in np.unique(u_tiers):
-            hours = float(durations[u_tiers == tier].sum()) / HOUR_SECONDS
-            task_hours[str(tier)] = task_hours.get(str(tier), 0.0) + hours
+        for code in np.unique(u_tiers.codes):
+            hours = float(durations[u_tiers.codes == code].sum()) / HOUR_SECONDS
+            tier = u_tiers.vocabulary[code]
+            task_hours[tier] = task_hours.get(tier, 0.0) + hours
 
     out: Dict[str, Dict[str, float]] = {}
     for tier in sorted(set(event_counts) | set(new_tasks) | set(task_hours)):

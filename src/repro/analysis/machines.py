@@ -44,8 +44,7 @@ def fleet_summary(traces: Sequence[TraceDataset]) -> Dict[str, float]:
         mems = attrs.column("mem_capacity").values
         for cpu, mem in zip(cpus, mems):
             shapes.add((round(float(cpu), 4), round(float(mem), 4)))
-        for p in attrs.column("platform").values:
-            platforms.add(p)
+        platforms.update(attrs.column("platform").unique())
     return {
         "machines": total,
         "machines_per_cell": total / max(len(traces), 1),

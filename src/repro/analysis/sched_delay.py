@@ -12,7 +12,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.analysis.common import merge_monitoring_tier
+from repro.analysis.common import fold_monitoring, lookup, memoised, split_by
 from repro.stats.ccdf import Ccdf, empirical_ccdf
 from repro.table import Table
 from repro.trace.dataset import TraceDataset
@@ -27,64 +27,83 @@ def scheduling_delays(trace: TraceDataset,
     and the SUBMIT event otherwise; first-running is the earliest
     SCHEDULE among the job's instances.  Jobs submitted in the first
     ``skip_warmup_hours`` are dropped (warm-start artifacts), as are
-    jobs that never started.
+    jobs that never started.  Rows are in order of each job's first
+    SUBMIT or ENABLE event.  Memoised per trace; the table's arrays are
+    read-only.
     """
-    ce = trace.collection_events
-    ie = trace.instance_events
-    ready: Dict[int, float] = {}
-    tier_of: Dict[int, str] = {}
-    is_job: Dict[int, bool] = {}
-    c_ids = ce.column("collection_id").values
-    c_types = ce.column("type").values
-    c_times = ce.column("time").values
-    c_kinds = ce.column("collection_type").values
-    c_tiers = merge_monitoring_tier(ce.column("tier").values)
-    for i in range(len(ce)):
-        cid = int(c_ids[i])
-        if c_types[i] == "SUBMIT":
-            ready.setdefault(cid, float(c_times[i]))
-            tier_of[cid] = c_tiers[i]
-            is_job[cid] = c_kinds[i] == "job"
-        elif c_types[i] == "ENABLE":
-            # ENABLE supersedes SUBMIT: the batch queue wait is deliberate
-            # and excluded from the metric.
-            ready[cid] = float(c_times[i])
+    return memoised(
+        trace, ("scheduling_delays", skip_warmup_hours),
+        ("collection_events", "instance_events"),
+        lambda: _scheduling_delays(trace, skip_warmup_hours))
 
-    first_run: Dict[int, float] = {}
-    i_ids = ie.column("collection_id").values
-    i_types = ie.column("type").values
-    i_times = ie.column("time").values
-    for i in range(len(ie)):
-        if i_types[i] == "SCHEDULE":
-            cid = int(i_ids[i])
-            t = float(i_times[i])
-            if cid not in first_run or t < first_run[cid]:
-                first_run[cid] = t
+
+def _scheduling_delays(trace: TraceDataset, skip_warmup_hours: float) -> Table:
+    ce = trace.collection_events
+    n = len(ce)
+    c_times = ce.column("time").values
+    collections, slot = np.unique(ce.column("collection_id").values,
+                                  return_inverse=True)
+    rows = np.arange(n)
+
+    def first_row(mask: np.ndarray) -> np.ndarray:
+        out = np.full(len(collections), n)
+        np.minimum.at(out, slot[mask], rows[mask])
+        return out
+
+    def last_row(mask: np.ndarray) -> np.ndarray:
+        out = np.full(len(collections), -1)
+        np.maximum.at(out, slot[mask], rows[mask])
+        return out
+
+    types = ce.column("type")
+    submit = types == "SUBMIT"
+    enable = types == "ENABLE"
+    # Jobs in order of the row that first set their ready time.
+    first = first_row(submit | enable)
+    seen = np.flatnonzero(first < n)
+    jobs = seen[np.argsort(first[seen], kind="stable")]
+    # The latest SUBMIT names the tier and the kind.  ENABLE supersedes
+    # SUBMIT as the ready time: the batch queue wait is deliberate and
+    # excluded from the metric.
+    last_submit = last_row(submit)[jobs]
+    last_enable = last_row(enable)[jobs]
+    first_submit = np.minimum(first_row(submit)[jobs], n - 1)
+    is_job = (last_submit >= 0) \
+        & (ce.column("collection_type") == "job")[last_submit]
+    ready = np.where(last_enable >= 0, c_times[last_enable],
+                     c_times[first_submit])
+
+    ie = trace.instance_events
+    scheduled = ie.column("type") == "SCHEDULE"
+    i_slot, known = lookup(ie.column("collection_id").values[scheduled],
+                           collections)
+    first_run = np.full(len(collections), np.inf)
+    np.minimum.at(first_run, i_slot[known],
+                  ie.column("time").values[scheduled][known])
+    ran = np.bincount(i_slot[known], minlength=len(collections)) > 0
 
     cutoff = skip_warmup_hours * HOUR_SECONDS
-    rows = {"collection_id": [], "tier": [], "delay": []}
-    for cid, t_ready in ready.items():
-        if not is_job.get(cid, False) or cid not in first_run:
-            continue
-        if t_ready < cutoff:
-            continue
-        rows["collection_id"].append(cid)
-        rows["tier"].append(tier_of[cid])
-        rows["delay"].append(max(0.0, first_run[cid] - t_ready))
-    return Table(rows)
+    keep = is_job & ran[jobs] & ~(ready < cutoff)
+    delay = first_run[jobs[keep]] - ready[keep]
+    return Table({
+        "collection_id": collections[jobs[keep]],
+        "tier": fold_monitoring(ce.column("tier"))[last_submit[keep]],
+        "delay": np.where(delay > 0, delay, 0.0),
+    })
 
 
 def delay_ccdf_by_tier(traces: Sequence[TraceDataset]) -> Dict[str, Ccdf]:
     """Figure 10b: delay CCDF per tier, aggregated across cells."""
-    pooled: Dict[str, List[float]] = {}
+    pooled: Dict[str, List[np.ndarray]] = {}
     for trace in traces:
         table = scheduling_delays(trace)
-        tiers = table.column("tier").values
-        delays = table.column("delay").values
-        for tier, delay in zip(tiers, delays):
-            pooled.setdefault(tier, []).append(float(delay))
-    return {tier: empirical_ccdf(values) for tier, values in pooled.items()
-            if len(values) > 0}
+        if len(table) == 0:
+            continue
+        groups = split_by(table.column("tier"), table.column("delay").values)
+        for tier, delays in groups.items():
+            pooled.setdefault(tier, []).append(delays)
+    return {tier: empirical_ccdf(np.concatenate(parts))
+            for tier, parts in pooled.items()}
 
 
 def median_delay(trace: TraceDataset) -> float:

@@ -38,8 +38,8 @@ def job_submission_counts(trace: TraceDataset) -> np.ndarray:
     ce = trace.collection_events
     if len(ce) == 0:
         return np.zeros(0)
-    mask = ((ce.column("type").values == "SUBMIT")
-            & (ce.column("collection_type").values == "job"))
+    mask = ((ce.column("type") == "SUBMIT")
+            & (ce.column("collection_type") == "job"))
     return _hourly_counts(ce.column("time").values[mask], trace.horizon)
 
 
@@ -69,7 +69,7 @@ def task_submission_counts(trace: TraceDataset, which: str = "all") -> np.ndarra
     ie = trace.instance_events
     if len(ie) == 0:
         return np.zeros(0)
-    mask = ie.column("type").values == "SUBMIT"
+    mask = ie.column("type") == "SUBMIT"
     if which == "new":
         mask = mask & ie.column("is_new").values
     return _hourly_counts(ie.column("time").values[mask], trace.horizon)

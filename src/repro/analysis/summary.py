@@ -36,7 +36,7 @@ def era_summary(traces: Sequence[TraceDataset]) -> Dict[str, Value]:
     era = traces[0].era
     fleet = fleet_summary(traces)
     has_allocs = any(
-        "alloc_set" in set(t.collection_events.column("collection_type").values.tolist())
+        (t.collection_events.column("collection_type") == "alloc_set").any()
         for t in traces
     )
     has_parents = any(
@@ -45,12 +45,11 @@ def era_summary(traces: Sequence[TraceDataset]) -> Dict[str, Value]:
         for t in traces
     )
     has_queueing = any(
-        "QUEUE" in set(t.collection_events.column("type").values.tolist())
+        (t.collection_events.column("type") == "QUEUE").any()
         for t in traces
     )
     has_autoscaling = any(
-        len(set(t.collection_events.column("vertical_scaling").values.tolist())
-            - {"none"}) > 0
+        (t.collection_events.column("vertical_scaling") != "none").any()
         for t in traces
     )
     return {

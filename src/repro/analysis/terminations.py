@@ -10,10 +10,14 @@ and 52% of those only once.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
+import numpy as np
+
+from repro.analysis.common import last_of_each, lookup
+from repro.table import Table
 from repro.trace.dataset import TraceDataset
 
 TERMINAL = ("FINISH", "EVICT", "KILL", "FAIL")
@@ -45,54 +49,68 @@ class TerminationReport:
         return out
 
 
+def _has_parent_at(ce: Table, submit: np.ndarray,
+                   ending: np.ndarray) -> np.ndarray:
+    """For each row of ``ending``, in row order: whether the latest
+    SUBMIT of its collection before it named a parent (False when there
+    was none yet)."""
+    frame = np.flatnonzero(submit | ending)
+    ids = ce.column("collection_id").values[frame]
+    order = np.argsort(ids, kind="stable")
+    frame, ids = frame[order], ids[order]
+    at = np.arange(len(frame))
+    latest = np.maximum.accumulate(np.where(submit[frame], at, -1))
+    new_group = np.ones(len(frame), dtype=bool)
+    new_group[1:] = ids[1:] != ids[:-1]
+    group_start = np.maximum.accumulate(np.where(new_group, at, 0))
+    parent = ce.column("parent_collection_id").values[frame] >= 0
+    out = np.zeros(len(ce), dtype=bool)
+    out[frame] = (latest >= group_start) & parent[np.maximum(latest, 0)]
+    return out[ending]
+
+
 def termination_report(traces: Sequence[TraceDataset]) -> TerminationReport:
     """Compute section 5.2's statistics pooled across cells."""
     end_counts: Counter = Counter()
     killed_with_parent = total_with_parent = 0
     killed_without_parent = total_without_parent = 0
     n_collections = 0
-    eviction_counts: Dict[int, int] = defaultdict(int)
-    collection_tier: Dict[int, str] = {}
+    tier_ids, tier_prod, evicted_ids = [], [], []
 
     for trace in traces:
         ce = trace.collection_events
         ids = ce.column("collection_id").values
-        types = ce.column("type").values
-        parents = ce.column("parent_collection_id").values
-        tiers = ce.column("tier").values
-        has_parent: Dict[int, bool] = {}
-        for i in range(len(ce)):
-            cid = int(ids[i])
-            if types[i] == "SUBMIT":
-                if cid not in has_parent:
-                    n_collections += 1
-                has_parent[cid] = parents[i] >= 0
-                collection_tier[cid] = tiers[i]
-            elif types[i] in TERMINAL:
-                end_counts[types[i]] += 1
-                if has_parent.get(cid, False):
-                    total_with_parent += 1
-                    if types[i] == "KILL":
-                        killed_with_parent += 1
-                else:
-                    total_without_parent += 1
-                    if types[i] == "KILL":
-                        killed_without_parent += 1
+        types = ce.column("type")
+        submit = types == "SUBMIT"
+        ending = types.isin(TERMINAL)
+        has_parent = _has_parent_at(ce, submit, ending)
+        killed = (types == "KILL")[ending]
+        for kind in TERMINAL:
+            count = int((types == kind).sum())
+            if count:
+                end_counts[kind] += count
+        total_with_parent += int(has_parent.sum())
+        killed_with_parent += int((killed & has_parent).sum())
+        total_without_parent += int((~has_parent).sum())
+        killed_without_parent += int((killed & ~has_parent).sum())
 
+        # Each collection's tier is that of its latest SUBMIT (a later
+        # cell's SUBMIT of the same id wins, as for one pooled log).
+        submits = np.flatnonzero(submit)
+        distinct, last = last_of_each(ids[submits])
+        n_collections += len(distinct)
+        tier_ids.append(distinct)
+        tier_prod.append(ce.column("tier").isin(("prod", "monitoring"))[submits[last]])
         ie = trace.instance_events
-        i_ids = ie.column("collection_id").values
-        i_types = ie.column("type").values
-        for i in range(len(ie)):
-            if i_types[i] == "EVICT":
-                eviction_counts[int(i_ids[i])] += 1
+        evicted_ids.append(ie.column("collection_id").values[ie.column("type") == "EVICT"])
 
-    evicted = set(eviction_counts)
-    evicted_nonprod = sum(1 for cid in evicted
-                          if collection_tier.get(cid) not in ("prod", "monitoring"))
-    prod_ids = {cid for cid, tier in collection_tier.items()
-                if tier in ("prod", "monitoring")}
-    prod_evicted = evicted & prod_ids
-    prod_single = sum(1 for cid in prod_evicted if eviction_counts[cid] == 1)
+    collections, last = last_of_each(np.concatenate(tier_ids or [np.zeros(0, np.int64)]))
+    is_prod = np.concatenate(tier_prod or [np.zeros(0, bool)])[last]
+    evicted, evictions = np.unique(
+        np.concatenate(evicted_ids or [np.zeros(0, np.int64)]), return_counts=True)
+    pos, known = lookup(evicted, collections)
+    evicted_prod = known & is_prod[pos] if len(collections) else known
+    prod_evicted = int(evicted_prod.sum())
 
     def ratio(a: float, b: float) -> float:
         return a / b if b > 0 else 0.0
@@ -102,7 +120,9 @@ def termination_report(traces: Sequence[TraceDataset]) -> TerminationReport:
         kill_rate_with_parent=ratio(killed_with_parent, total_with_parent),
         kill_rate_without_parent=ratio(killed_without_parent, total_without_parent),
         collections_with_evictions_fraction=ratio(len(evicted), n_collections),
-        evicted_collections_nonprod_fraction=ratio(evicted_nonprod, len(evicted)),
-        prod_collections_evicted_fraction=ratio(len(prod_evicted), len(prod_ids)),
-        prod_evicted_single_eviction_fraction=ratio(prod_single, len(prod_evicted)),
+        evicted_collections_nonprod_fraction=ratio(len(evicted) - prod_evicted,
+                                                   len(evicted)),
+        prod_collections_evicted_fraction=ratio(prod_evicted, int(is_prod.sum())),
+        prod_evicted_single_eviction_fraction=ratio(
+            int((evicted_prod & (evictions == 1)).sum()), prod_evicted),
     )

@@ -9,9 +9,12 @@ event sequence and counting state changes.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from typing import Dict, List, Tuple
+from collections import Counter
+from typing import List, Sequence, Tuple
 
+import numpy as np
+
+from repro.table import Column
 from repro.trace.dataset import TraceDataset
 
 #: State entered after each event type.
@@ -30,47 +33,55 @@ _EVENT_TO_STATE = {
 Transition = Tuple[str, str]
 
 
-def _count_stream(ids: List[Tuple[int, ...]], events: List[str],
-                  times: List[float]) -> Counter:
-    """Count state transitions within each entity's time-ordered events."""
-    per_entity: Dict[Tuple[int, ...], List[Tuple[float, int, str]]] = defaultdict(list)
-    for seq, (key, event, t) in enumerate(zip(ids, events, times)):
-        per_entity[key].append((t, seq, event))
-    counts: Counter = Counter()
-    for entries in per_entity.values():
-        entries.sort()
-        state = "NONE"
-        for _, __, event in entries:
-            nxt = _EVENT_TO_STATE.get(event)
-            if nxt is None:
-                continue
-            # Terminal events name the cause, not just DEAD, so figure 7's
-            # per-cause arrows are reconstructible.  An evicted instance's
-            # follow-up SUBMIT produces the DEAD(evict) -> PENDING
-            # resubmission arc naturally.
-            label = nxt if nxt != "DEAD" else f"DEAD({event.lower()})"
-            if label != state:
-                counts[(state, label)] += 1
-            state = label
-    return counts
+def _count_stream(keys: Sequence[np.ndarray], events: Column,
+                  times: np.ndarray) -> Counter:
+    """Count state transitions within each entity's time-ordered events.
+
+    ``keys`` identify the entity (collection id, or collection id and
+    instance index).  Events that name no state are skipped.  Each
+    entity starts in NONE; terminal events name the cause, not just
+    DEAD, so figure 7's per-cause arrows are reconstructible, and an
+    evicted instance's follow-up SUBMIT produces the DEAD(evict) ->
+    PENDING resubmission arc naturally.
+    """
+    index = {"NONE": 0}
+    remap = np.full(len(events.vocabulary), -1)
+    for code, event in enumerate(events.vocabulary.tolist()):
+        state = _EVENT_TO_STATE.get(event)
+        if state is not None:
+            label = state if state != "DEAD" else f"DEAD({event.lower()})"
+            remap[code] = index.setdefault(label, len(index))
+    labels = list(index)
+    label_of = remap[events.codes]
+    rows = np.flatnonzero(label_of >= 0)
+    # Entity by entity; within one, by time, then by position in the log.
+    order = rows[np.lexsort((rows, times[rows]) + tuple(k[rows] for k in reversed(keys)))]
+    label_of = label_of[order]
+    prev = np.zeros(len(order), dtype=np.int64)
+    prev[1:] = label_of[:-1]
+    for key in keys:
+        k = key[order]
+        prev[1:][k[1:] != k[:-1]] = 0
+    moved = label_of != prev
+    n = len(labels)
+    pairs = np.bincount(prev[moved] * n + label_of[moved], minlength=n * n)
+    return Counter({(labels[p // n], labels[p % n]): int(pairs[p])
+                    for p in np.flatnonzero(pairs)})
 
 
 def collection_transitions(trace: TraceDataset) -> Counter:
     """Transition counts over collection lifecycles."""
     ce = trace.collection_events
-    ids = [(int(i),) for i in ce.column("collection_id").values]
-    return _count_stream(ids, list(ce.column("type").values),
-                         list(ce.column("time").values))
+    return _count_stream([ce.column("collection_id").values], ce.column("type"),
+                         ce.column("time").values)
 
 
 def instance_transitions(trace: TraceDataset) -> Counter:
     """Transition counts over instance lifecycles (figure 7's bulk)."""
     ie = trace.instance_events
-    ids = list(zip(ie.column("collection_id").values.tolist(),
-                   ie.column("instance_index").values.tolist()))
-    return _count_stream([tuple(i) for i in ids],
-                         list(ie.column("type").values),
-                         list(ie.column("time").values))
+    return _count_stream([ie.column("collection_id").values,
+                          ie.column("instance_index").values],
+                         ie.column("type"), ie.column("time").values)
 
 
 def transition_table(trace: TraceDataset) -> List[Tuple[str, str, int, int]]:

@@ -10,45 +10,60 @@ analogue of the hogs-and-mice story.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.common import job_usage_integrals
+from repro.analysis.common import collection_metadata, job_usage_integrals, lookup
+from repro.table import Column
 from repro.trace.dataset import TraceDataset
+
+
+def _pooled(parts: Sequence[Tuple[Column, np.ndarray]]) -> Dict[str, float]:
+    """Sum each user's weights across cells: users keyed by name in order
+    of first appearance, each sum taken in row order, cell after cell."""
+    index: Dict[str, int] = {}
+    slots, weights = [], []
+    for users, weight in parts:
+        remap = np.array([index.setdefault(user, len(index))
+                          for user in users.vocabulary.tolist()], dtype=np.int64)
+        slots.append(remap[users.codes])
+        weights.append(weight)
+    if not index:
+        return {}
+    slot = np.concatenate(slots)
+    sums = np.bincount(slot, weights=np.concatenate(weights), minlength=len(index))
+    _, first = np.unique(slot, return_index=True)
+    names = list(index)
+    return {names[s]: float(sums[s]) for s in slot[np.sort(first)]}
 
 
 def jobs_per_user(traces: Sequence[TraceDataset]) -> Dict[str, int]:
     """Number of jobs submitted per user, pooled across cells."""
-    out: Dict[str, int] = {}
+    parts = []
     for trace in traces:
         ce = trace.collection_events
-        mask = ((ce.column("type").values == "SUBMIT")
-                & (ce.column("collection_type").values == "job"))
-        for user in ce.column("user").values[mask]:
-            out[user] = out.get(user, 0) + 1
-    return out
+        mask = ((ce.column("type") == "SUBMIT")
+                & (ce.column("collection_type") == "job"))
+        parts.append((ce.column("user")[mask], np.ones(int(mask.sum()))))
+    return {user: int(n) for user, n in _pooled(parts).items()}
 
 
 def usage_per_user(traces: Sequence[TraceDataset]) -> Dict[str, float]:
     """NCU-hours consumed per user, pooled across cells."""
-    out: Dict[str, float] = {}
+    parts = []
     for trace in traces:
         table = job_usage_integrals(trace)
         if len(table) == 0:
             continue
         # Attribute each job's integral to its submitting user.
-        ce = trace.collection_events
-        submits = ce.filter(ce.column("type") == "SUBMIT").distinct("collection_id")
-        user_of = dict(zip(submits.column("collection_id").values.tolist(),
-                           submits.column("user").values.tolist()))
-        ids = table.column("collection_id").values
-        hours = table.column("ncu_hours").values
-        for cid, h in zip(ids, hours):
-            user = user_of.get(int(cid))
-            if user is not None:
-                out[user] = out.get(user, 0.0) + float(h)
-    return out
+        meta = collection_metadata(trace)
+        meta_ids = meta.column("collection_id").values
+        order = np.argsort(meta_ids)
+        pos, found = lookup(table.column("collection_id").values, meta_ids[order])
+        parts.append((meta.column("user")[order[pos[found]]],
+                      table.column("ncu_hours").values[found]))
+    return _pooled(parts)
 
 
 def zipf_exponent(counts: Sequence[int]) -> float:

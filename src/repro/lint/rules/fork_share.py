@@ -1,7 +1,7 @@
 """RPR009 — fork-share races: no parent-process globals in worker code.
 
 The store executor, the multi-cell sim driver, and the campaign runner
-all fan work out over ``multiprocessing`` pools.  Under ``fork`` start
+all fan work out over ``multiprocessing`` pools or processes.  Under ``fork`` start
 methods a worker begins with a *copy* of the parent's memory: a
 module-level dict the parent mutated is silently stale in the worker,
 a dict the worker mutates silently never reaches the parent, and under
@@ -13,7 +13,8 @@ fresh registry and ship an explicit snapshot home.
 
 This rule finds every function *submitted to a pool*
 (``pool.imap``/``map``/``apply_async``/... targets, through
-``functools.partial`` and local aliases), takes the transitive closure
+``functools.partial`` and local aliases) or started as a process
+(``Process(target=...)``, ``ctx.Process(...)``), takes the transitive closure
 over the project call graph, and inside that worker-callable set flags
 direct reads and writes of module-level **mutable** state — dict/list/
 set displays and constructors, and instances of project classes —
@@ -238,6 +239,14 @@ def _scan_function(info: ModuleInfo, fn: ast.AST,
     return out
 
 
+def _is_process(func: ast.AST) -> bool:
+    """``Process(...)``, ``multiprocessing.Process(...)`` or
+    ``ctx.Process(...)`` on a start-method context."""
+    if isinstance(func, ast.Name):
+        return func.id == "Process"
+    return isinstance(func, ast.Attribute) and func.attr == "Process"
+
+
 def _callable_ref(graph: ProjectGraph, node: ast.AST, info: ModuleInfo,
                   local_assigns: Dict[str, ast.AST],
                   hops: int = 0) -> Optional[Tuple[ModuleInfo, str]]:
@@ -274,7 +283,8 @@ def _as_function(resolved: Tuple[ModuleInfo, str]) -> Optional[Tuple[str, str]]:
 def _submission_seeds(info: ModuleInfo,
                       graph: ProjectGraph) -> List[Tuple[str, str, str]]:
     """(callee module, callee qualname, entry description) for every
-    callable handed to a pool in ``info``'s functions."""
+    callable handed to a pool, or started as a process, in ``info``'s
+    functions."""
     seeds: List[Tuple[str, str, str]] = []
     for qual in sorted(info.functions):
         fn = info.functions[qual]
@@ -284,12 +294,18 @@ def _submission_seeds(info: ModuleInfo,
                     and isinstance(node.targets[0], ast.Name):
                 local_assigns[node.targets[0].id] = node.value
         for call in ast.walk(fn):
-            if not (isinstance(call, ast.Call)
-                    and isinstance(call.func, ast.Attribute)):
+            if not isinstance(call, ast.Call):
                 continue
-            attr = call.func.attr
+            attr = call.func.attr \
+                if isinstance(call.func, ast.Attribute) else None
             candidates: List[ast.AST] = []
-            if attr in POOL_METHODS:
+            if _is_process(call.func):
+                # Process(group, target, name, args, ...): the target
+                # runs in the child, whatever the start method.
+                candidates = list(call.args[1:2])
+                candidates += [kw.value for kw in call.keywords
+                               if kw.arg == "target"]
+            elif attr in POOL_METHODS:
                 candidates = list(call.args[:1])
                 candidates += [kw.value for kw in call.keywords
                                if kw.arg == "func"]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Any, Dict, Tuple
 
 from repro.table import Table
 from repro.trace.schema import TABLE_COLUMNS, empty_table
@@ -32,6 +32,11 @@ class TraceDataset:
     capacity_cpu: float
     capacity_mem: float
     tables: Dict[str, Table] = field(default_factory=dict)
+    #: Shared analysis intermediates, keyed by what was computed; each
+    #: entry also holds the tables it read (see
+    #: :func:`repro.analysis.common.memoised`).
+    analysis_memo: Dict[Tuple, Tuple[Tuple[Table, ...], Any]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, columns in SCHEMA_2019.items():

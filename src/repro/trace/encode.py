@@ -69,23 +69,27 @@ def _events_table(name: str, stream: dict, fields: dict) -> Table:
                          for column, field in fields.items()})
 
 
+def _label_column(labels: dict, codes: np.ndarray) -> Column:
+    """The string column of small integer ``codes``: a validated column
+    holding each code's label at that position, indexed by the codes."""
+    vocabulary = Column([labels[code] for code in range(len(labels))])
+    return vocabulary[codes]
+
+
+#: Label of each usage tier code (a code is the tier's rank).
+_TIER_LABELS = {code: tier.value for code, tier in TIER_FROM_CODE.items()}
+
+
 def _instance_usage_table(result: CellResult) -> Table:
     u = result.usage
-    n = len(u["window_start"])
-    tier_strings = np.empty(n, dtype=object)
-    for code, tier in TIER_FROM_CODE.items():
-        tier_strings[u["tier_code"] == code] = tier.value
-    autopilot_strings = np.empty(n, dtype=object)
-    for code, mode in AUTOPILOT_FROM_CODE.items():
-        autopilot_strings[u["autopilot_code"] == code] = mode
     return _build("instance_usage", {
         "start_time": Column(u["window_start"]),
         "duration": Column(u["duration"]),
         "collection_id": Column(u["collection_id"].astype(np.int64)),
         "instance_index": Column(u["instance_index"].astype(np.int64)),
         "machine_id": Column(u["machine_id"].astype(np.int64)),
-        "tier": Column(tier_strings),
-        "vertical_scaling": Column(autopilot_strings),
+        "tier": _label_column(_TIER_LABELS, u["tier_code"]),
+        "vertical_scaling": _label_column(AUTOPILOT_FROM_CODE, u["autopilot_code"]),
         "in_alloc": Column(u["in_alloc"].astype(bool)),
         "avg_cpu": Column(u["avg_cpu"]),
         "max_cpu": Column(u["max_cpu"]),

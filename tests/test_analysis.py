@@ -79,6 +79,138 @@ class TestCommon:
             hourly_tier_series(trace_2019, "cpu", "wishes")
 
 
+def _copy_dataset(trace, **tables):
+    """A dataset over ``trace``'s tables (``tables`` replace some), with
+    an empty analysis memo."""
+    return type(trace)(
+        cell=trace.cell, era=trace.era, horizon=trace.horizon,
+        sample_period=trace.sample_period,
+        utc_offset_hours=trace.utc_offset_hours,
+        capacity_cpu=trace.capacity_cpu, capacity_mem=trace.capacity_mem,
+        tables={**trace.tables, **tables})
+
+
+class TestMemo:
+    """Shared intermediates are computed once per dataset, stay valid
+    only while the tables they read are the same objects, and are
+    handed out read-only."""
+
+    def test_second_call_reuses_the_result(self, trace_2019):
+        trace = _copy_dataset(trace_2019)
+        first = hourly_tier_series(trace, "cpu", "usage")
+        again = hourly_tier_series(trace, "cpu", "usage")
+        assert first is not again  # a fresh dict each call
+        assert all(first[t] is again[t] for t in TIER_ORDER)
+        assert job_usage_integrals(trace) is job_usage_integrals(trace)
+        assert sched_delay.scheduling_delays(trace) is \
+            sched_delay.scheduling_delays(trace)
+
+    def test_replaced_table_recomputes(self, trace_2019):
+        trace = _copy_dataset(trace_2019)
+        before = job_usage_integrals(trace)
+        iu = trace.instance_usage
+        keep = iu.column("collection_id").values != \
+            before.column("collection_id").values[0]
+        trace.tables["instance_usage"] = iu.filter(keep)
+        after = job_usage_integrals(trace)
+        assert after is not before
+        assert len(after) == len(before) - 1
+        fresh = job_usage_integrals(_copy_dataset(
+            trace_2019, instance_usage=trace.instance_usage))
+        for name in after.column_names:
+            assert after.column(name).to_list() == fresh.column(name).to_list()
+
+    def test_results_are_read_only(self, trace_2019):
+        trace = _copy_dataset(trace_2019)
+        series = hourly_tier_series(trace, "mem", "allocation")
+        with pytest.raises(ValueError):
+            series["prod"][0] = 1.0
+        table = job_usage_integrals(trace)
+        with pytest.raises(ValueError):
+            table.column("ncu_hours").values[0] = 1.0
+        with pytest.raises(ValueError):
+            table.column("tier").codes[0] = 0
+        delays = sched_delay.scheduling_delays(trace)
+        with pytest.raises(ValueError):
+            delays.column("delay").values[0] = 1.0
+
+
+def _delays_by_loop(trace, skip_warmup_hours=1.0):
+    """The row-loop scheduling delays the array version replaced: the
+    equivalence oracle for rows and their order."""
+    ce, ie = trace.collection_events, trace.instance_events
+    ready, tier_of, is_job = {}, {}, {}
+    c_ids = ce.column("collection_id").values
+    c_types = ce.column("type").values
+    c_times = ce.column("time").values
+    c_kinds = ce.column("collection_type").values
+    c_tiers = ce.column("tier").values
+    for i in range(len(ce)):
+        cid = int(c_ids[i])
+        if c_types[i] == "SUBMIT":
+            ready.setdefault(cid, float(c_times[i]))
+            tier_of[cid] = "prod" if c_tiers[i] == "monitoring" else c_tiers[i]
+            is_job[cid] = c_kinds[i] == "job"
+        elif c_types[i] == "ENABLE":
+            ready[cid] = float(c_times[i])
+    first_run = {}
+    i_ids = ie.column("collection_id").values
+    i_types = ie.column("type").values
+    i_times = ie.column("time").values
+    for i in range(len(ie)):
+        if i_types[i] == "SCHEDULE":
+            cid, t = int(i_ids[i]), float(i_times[i])
+            if cid not in first_run or t < first_run[cid]:
+                first_run[cid] = t
+    rows = []
+    for cid, t_ready in ready.items():
+        if not is_job.get(cid, False) or cid not in first_run:
+            continue
+        if t_ready < skip_warmup_hours * HOUR_SECONDS:
+            continue
+        rows.append((cid, tier_of[cid], max(0.0, first_run[cid] - t_ready)))
+    return rows
+
+
+def _queue_waits_by_loop(trace):
+    ce = trace.collection_events
+    queued, waits = {}, []
+    ids = ce.column("collection_id").values
+    types = ce.column("type").values
+    times = ce.column("time").values
+    for i in range(len(ce)):
+        cid = int(ids[i])
+        if types[i] == "QUEUE":
+            queued[cid] = float(times[i])
+        elif types[i] == "ENABLE" and cid in queued:
+            waits.append(float(times[i]) - queued.pop(cid))
+    return waits
+
+
+class TestArrayReducersMatchRowLoops:
+    """Reducers that were Python row loops return the same rows, in the
+    same order, as the loops (kept above as oracles)."""
+
+    @pytest.mark.parametrize("fixture", ["trace_2019", "trace_2011",
+                                         "trace_2019_faulty"])
+    def test_scheduling_delays(self, request, fixture):
+        trace = _copy_dataset(request.getfixturevalue(fixture))
+        table = sched_delay.scheduling_delays(trace)
+        got = list(zip(table.column("collection_id").to_list(),
+                       table.column("tier").to_list(),
+                       table.column("delay").to_list()))
+        want = _delays_by_loop(trace)
+        assert want and got == want
+
+    @pytest.mark.parametrize("fixture", ["trace_2019", "trace_2019_faulty"])
+    def test_queue_waits(self, request, fixture):
+        from repro.analysis import batch_queue
+
+        trace = request.getfixturevalue(fixture)
+        assert batch_queue.queue_waits(trace).tolist() == \
+            _queue_waits_by_loop(trace)
+
+
 class TestUtilization:
     def test_total_fraction_sane(self, trace_2019):
         total = utilization.total_usage_fraction(trace_2019, "cpu")

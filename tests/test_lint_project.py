@@ -230,6 +230,95 @@ def test_rpr009_partial_wrapped_callable(tmp_path):
     assert len(violations_of(result, "RPR009")) == 1
 
 
+def test_rpr009_process_target_reads_runtime_global(tmp_path):
+    tree = dict(RPR009_TREE)
+    # A Process target is worker code too: it reads SEEN, which the
+    # parent fills at runtime, so the child sees a stale copy.
+    tree["repro/state.py"] = textwrap.dedent("""\
+        SEEN = []
+
+
+        def remember(item):
+            SEEN.append(item)
+
+
+        def replay(conn):
+            for item in SEEN:
+                conn.send(item)
+        """)
+    tree["repro/runner.py"] = textwrap.dedent("""\
+        import multiprocessing
+
+        from repro.state import remember, replay
+
+
+        def run(items, conn):
+            for item in items:
+                remember(item)
+            ctx = multiprocessing.get_context("fork")
+            proc = ctx.Process(target=replay, args=(conn,))
+            proc.start()
+            return proc
+        """)
+    root = write_tree(tmp_path, tree)
+    result = lint_project([root], select=["RPR009"], use_cache=False)
+    hits = violations_of(result, "RPR009")
+    assert [(h.path.endswith("state.py"), h.line) for h in hits] == \
+        [(True, 9)]
+    assert "SEEN" in hits[0].message
+    assert "repro.runner.run()" in hits[0].message
+
+
+def test_rpr009_process_args_payload_is_clean(tmp_path):
+    tree = dict(RPR009_TREE)
+    # The sim driver's pattern: the state a worker needs goes in the
+    # Process args (inherited by fork, never a shared global).
+    tree["repro/work.py"] = textwrap.dedent("""\
+        def worker(items, conn):
+            for index in iter(conn.recv, None):
+                conn.send(items[index])
+        """)
+    tree["repro/runner.py"] = textwrap.dedent("""\
+        from multiprocessing import Process, get_context
+
+        from repro.work import worker
+
+
+        def run(items, conn):
+            ctx = get_context("fork")
+            procs = [ctx.Process(target=worker, args=(items, conn)),
+                     Process(None, worker, None, (items, conn))]
+            for proc in procs:
+                proc.start()
+            return procs
+        """)
+    root = write_tree(tmp_path, tree)
+    result = lint_project([root], select=["RPR009"], use_cache=False)
+    assert violations_of(result, "RPR009") == []
+
+
+def test_rpr009_process_target_reaches_runtime_write(tmp_path):
+    tree = dict(RPR009_TREE)
+    # Positional target (Process(group, target, ...)) through the same
+    # worker chain as the pool fixture: the write in state.py is flagged.
+    tree["repro/runner.py"] = textwrap.dedent("""\
+        from multiprocessing import Process
+
+        from repro.work import task
+
+
+        def run(item):
+            proc = Process(None, task, None, (item,))
+            proc.start()
+            return proc
+        """)
+    root = write_tree(tmp_path, tree)
+    result = lint_project([root], select=["RPR009"], use_cache=False)
+    hits = violations_of(result, "RPR009")
+    assert [(h.path.endswith("state.py"), h.line) for h in hits] == \
+        [(True, 5)]
+
+
 # ---------------------------------------------------------------------------
 # RPR010 — iteration order across modules
 

@@ -7,8 +7,11 @@ counters (each worker's metrics snapshot is merged exactly once).
 """
 
 import hashlib
+import multiprocessing
+import pickle
 
 import numpy as np
+import pytest
 
 from repro import obs
 from repro.sim.driver import default_workers, run_cells
@@ -192,3 +195,67 @@ class TestFailureHeavyDeterminism:
         pooled = record_run("pooled", 2)
         assert serial  # the failure-heavy run must emit cell frames
         assert serial == pooled
+
+
+class CellFailed(RuntimeError):
+    """Raised by :class:`_FailingScenario`; must reach the parent as is."""
+
+
+class _FailingScenario:
+    """Wraps a scenario and fails inside the worker, after the fork."""
+
+    def __init__(self, scenario):
+        self.name = scenario.name
+
+    def run(self, recorder=None):
+        raise CellFailed(f"cell {self.name} failed on purpose")
+
+
+class _ExitingScenario(_FailingScenario):
+    """Ends its worker process outright, with no exception to send."""
+
+    def run(self, recorder=None):
+        import os
+        os._exit(3)
+
+
+class TestForkedWorkers:
+    """Workers inherit the scenario list by fork: nothing is pickled on
+    the way in, failures come back as themselves, and a platform
+    without ``fork`` runs serially."""
+
+    def test_unpicklable_scenario_runs_pooled(self):
+        scenarios = _scenarios()
+        # A lambda cannot be pickled, so any start method that pickles
+        # its tasks fails on this list.
+        scenarios[1].on_done = lambda: None
+        with pytest.raises(Exception):
+            pickle.dumps(scenarios[1])
+        pooled = run_cells(scenarios, workers=2)
+        serial = run_cells(_scenarios(), workers=1)
+        assert [_fingerprint(encode_cell(r)) for r in pooled] == \
+            [_fingerprint(encode_cell(r)) for r in serial]
+
+    def test_worker_exception_reraised_without_live_children(self):
+        scenarios = _scenarios()
+        scenarios[1] = _FailingScenario(scenarios[1])
+        with pytest.raises(CellFailed, match="cell c failed on purpose"):
+            run_cells(scenarios, workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_raises_without_live_children(self):
+        scenarios = _scenarios()
+        scenarios[0] = _ExitingScenario(scenarios[0])
+        with pytest.raises(RuntimeError, match="exited without a result"):
+            run_cells(scenarios, workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_no_fork_start_method_runs_serially(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn", "forkserver"])
+        with obs.scoped_registry() as registry:
+            results = run_cells(_scenarios(), workers=2)
+        assert [r.config.name for r in results] == ["a", "c", "g"]
+        counters = registry.snapshot().counters
+        assert not counters.get("sim.parallel_batches")
+        assert "sim.pool_workers" not in registry.snapshot().gauges

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.store import DEFAULT_CLUSTER_BY
-from repro.table import Table
+from repro.table import Column, Table
 from repro.trace import (
     encode_cell,
     load_trace,
@@ -69,6 +69,45 @@ class TestEncode:
         ds = TraceDataset(cell="x", era="2019", horizon=1.0, sample_period=300.0,
                           utc_offset_hours=0.0, capacity_cpu=1.0, capacity_mem=1.0)
         assert len(ds.collection_events) == 0
+
+
+def _usage_labels_by_fill(codes, labels):
+    """The pre-vocabulary construction of a usage label column: an
+    object array filled one code at a time, then dictionary-encoded by
+    the ``Column`` constructor.  Kept here as the equivalence oracle."""
+    strings = np.empty(len(codes), dtype=object)
+    for code, label in labels.items():
+        strings[codes == code] = label
+    return Column(strings)
+
+
+class TestUsageLabelsFromCodes:
+    """``tier`` and ``vertical_scaling`` are built by indexing a small
+    vocabulary column with the simulator's codes; they must equal the
+    object-array construction row for row."""
+
+    @pytest.mark.parametrize("fixture", ["result_2019", "result_2011",
+                                         "result_2019_faulty"])
+    def test_matches_object_array_fill(self, request, fixture):
+        from repro.sim.usage import AUTOPILOT_FROM_CODE, TIER_FROM_CODE
+
+        result = request.getfixturevalue(fixture)
+        usage = encode_cell(result).instance_usage
+        cases = [("tier", "tier_code",
+                  {c: t.value for c, t in TIER_FROM_CODE.items()}),
+                 ("vertical_scaling", "autopilot_code", AUTOPILOT_FROM_CODE)]
+        for column, field, labels in cases:
+            got = usage.column(column)
+            want = _usage_labels_by_fill(result.usage[field], labels)
+            assert got.kind == want.kind == "str"
+            assert got.values.tolist() == want.values.tolist()
+            assert got.unique() == want.unique()
+
+    def test_unknown_code_is_rejected(self):
+        from repro.trace.encode import _label_column
+
+        with pytest.raises(IndexError):
+            _label_column({0: "none", 1: "fully"}, np.array([0, 2], dtype=np.int8))
 
 
 class TestValidate:
